@@ -26,6 +26,7 @@ import pytest
 
 from repro.experiments.scenarios import run_scenario
 from repro.experiments.setup import ExperimentConfig, run_experiment
+from repro.metrics import run_digest
 from repro.workloads import (
     StreamingWorkload,
     SwfReader,
@@ -94,7 +95,7 @@ def test_50k_trace_streams_with_flat_memory(trace_file):
 
 
 def _metrics_digest(result) -> str:
-    return json.dumps(result.metrics.to_dict(), sort_keys=True)
+    return run_digest(result.metrics.to_dict())
 
 
 def test_streaming_replay_matches_materialised_replay():

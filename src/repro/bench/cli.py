@@ -50,6 +50,7 @@ from repro.bench.runner import (
     records_report,
     run_bench,
 )
+from repro.obs.log import survive_closed_stdout
 
 #: Environment variables shared with the pytest benchmark harness.
 JOBS_ENV = "REPRO_BENCH_JOBS"
@@ -157,6 +158,7 @@ def _resolve_scenarios(names: Sequence[str]) -> List[str]:
     return list(names)
 
 
+@survive_closed_stdout
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.experiments.engine import ResultCache, code_version
 from repro.experiments.scenarios import get_scenario, iter_scenarios
 from repro.experiments.setup import ExperimentResult, build_workload, run_experiment
-from repro.sim.calqueue import resolve_queue_name
 from repro.sim.rng import RandomStreams
 from repro.workloads.spec import WorkloadSpec
 
@@ -73,10 +72,6 @@ class BenchRecord:
     cache_hits: int
     code_version: str
     metrics_digest: str
-    #: Event-queue implementation the record was measured under (see
-    #: ``repro.sim.calqueue``).  Records predating the field were measured
-    #: with the then-only heap queue, hence the default.
-    queue: str = "heap"
     python_version: str = field(default_factory=platform.python_version)
     #: Coarse machine fingerprint; wall-clock comparisons across different
     #: hosts are reported but never gated (see ``repro.bench.baseline``).
@@ -167,7 +162,6 @@ def run_bench(
             cache_hits=0,
             code_version=code_version(),
             metrics_digest=str(measured["metrics_digest"]),
-            queue=resolve_queue_name(),
         )
     pairs = spec.expand(job_count=job_count, seed=seed)
     store = (
@@ -220,7 +214,6 @@ def run_bench(
         cache_hits=cache_hits,
         code_version=code_version(),
         metrics_digest=metrics_digest(results),
-        queue=resolve_queue_name(),
     )
 
 
@@ -289,7 +282,6 @@ def profile_bench_data(
         "runs": len(pairs),
         "job_count": job_count if job_count is not None else spec.default_job_count,
         "seed": seed,
-        "queue": resolve_queue_name(),
         "total_calls": total_calls,
         "total_time": total_time,
         "top": top,
@@ -301,8 +293,8 @@ def profile_report(data: Dict[str, Any]) -> str:
     """Render one :func:`profile_bench_data` summary as a text table."""
     lines = [
         f"profile: {data['scenario']} ({data['runs']} runs, "
-        f"jobs={data['job_count']}, seed={data['seed']}, "
-        f"queue={data['queue']}) — top {data['top']} by own time",
+        f"jobs={data['job_count']}, seed={data['seed']}) "
+        f"— top {data['top']} by own time",
         f"  {data['total_calls']} calls in {data['total_time']:.3f}s",
         f"  {'tottime':>9} {'cumtime':>9} {'calls':>9}  function",
     ]
@@ -336,13 +328,12 @@ def load_record(path: Union[str, Path]) -> BenchRecord:
 def records_report(records: List[BenchRecord]) -> str:
     """Plain-text table of measured benchmark records."""
     lines = [
-        f"{'scenario':<20} {'queue':<8} {'runs':>4} {'jobs':>5} {'wall (s)':>9} "
+        f"{'scenario':<20} {'runs':>4} {'jobs':>5} {'wall (s)':>9} "
         f"{'events':>9} {'events/s':>10} {'peak RSS':>9} {'cached':>6}"
     ]
     for record in records:
         lines.append(
-            f"{record.scenario:<20} {record.queue:<8} "
-            f"{record.runs:>4} {record.job_count:>5} "
+            f"{record.scenario:<20} {record.runs:>4} {record.job_count:>5} "
             f"{record.wall_clock_seconds:>9.3f} {record.events_processed:>9} "
             f"{record.events_per_second:>10.0f} "
             f"{record.peak_rss_bytes / 1e6:>7.1f}MB {record.cache_hits:>6}"

@@ -21,10 +21,10 @@ Two capture modes share the envelope format:
     *verifies* it re-reached exactly the captured kernel/lane/cursor state.
     Costs re-simulation time, supports every configuration.
 
-Capture happens at a *safe point*: an instant where every same-time event
-has drained and no transient scheduler activity (claim settlement, GRAM
+Capture happens at a *safe point*: a time by which every earlier event has
+drained and no transient scheduler activity (claim settlement, GRAM
 submission flight, placement) is in progress — :func:`advance_to_safe_point`
-steps the simulation forward to the next such instant.  At a safe point the
+advances the simulation to the next such time.  At a safe point the
 pending event queue of a native-capturable run consists of nothing but
 process-resumption timeouts owned by three known process families (workload
 submitter, KIS poll loop, running rigid applications); the capture walks the
@@ -34,11 +34,12 @@ queue and classifies every entry, refusing loudly on anything else.
 from __future__ import annotations
 
 import hashlib
+from math import inf, nextafter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.envelope import CHECKPOINT_FORMAT, CheckpointUnsupported
 from repro.koala.job import JobState
-from repro.sim.core import EmptySchedule, Environment
+from repro.sim.core import Environment
 from repro.sim.process import Process
 
 #: Placement policies whose decisions depend only on the current idle view —
@@ -49,17 +50,15 @@ NATIVE_PLACEMENT_POLICIES = {"WF", "CF", "CM", "FCM"}
 
 
 def step_until(env: Environment, until: float) -> None:
-    """Step the kernel through every event scheduled at or before *until*.
+    """Advance the kernel to *until*, firing every event scheduled before it.
 
-    The canonical advance loop of the checkpoint layer.  It deliberately
-    avoids ``env.run(until=...)``, which schedules an internal stop event and
-    thereby consumes an event id — harmless for metrics, fatal for the
-    replay-mode fingerprint comparison, which requires the capture-side and
-    restore-side kernels to have allocated *exactly* the same ids.  Safe on
-    an empty queue (``peek()`` is ``inf``).
+    The checkpoint layer's named advance: ``env.run(until=until)``, which
+    schedules no stop event and so allocates no event id — the replay-mode
+    fingerprint comparison requires the capture-side and restore-side
+    kernels to have allocated *exactly* the same ids.  Events at exactly
+    *until* stay pending; safe on an empty queue.
     """
-    while env.peek() <= until:
-        env.step()
+    env.run(until=until)
 
 
 def kernel_fingerprint(env: Environment) -> Dict[str, Any]:
@@ -148,12 +147,14 @@ def _transient(scheduler, multicluster) -> bool:
 
 
 def advance_to_safe_point(run, *, limit: Optional[float] = None) -> float:
-    """Step *run* forward to the next instant where capture is possible.
+    """Advance *run* to the next time at which capture is possible.
 
-    A safe point requires (i) every event scheduled at the current instant to
-    have drained (``peek() > now`` — capture mid-instant would split a
-    cascade of same-time events across the checkpoint) and (ii) no transient
-    scheduler activity.  Returns the safe-point time.
+    A safe point requires (i) every event scheduled at or before the current
+    time to have drained (``peek() > now`` — capture mid-instant would split
+    a cascade of same-time events across the checkpoint) and (ii) no
+    transient scheduler activity.  Each step fires the next instant whole
+    and stops the clock just after it, so a safe point always lies between
+    two instants.  Returns the safe-point time.
 
     Raises :class:`CheckpointUnsupported` when no safe point is found before
     *limit* (default: the configuration's time limit).
@@ -165,10 +166,10 @@ def advance_to_safe_point(run, *, limit: Optional[float] = None) -> float:
             raise CheckpointUnsupported(
                 f"no checkpoint-safe point found before t={bound}"
             )
-        try:
-            env.step()
-        except EmptySchedule:  # pragma: no cover - defensive
+        head = env.peek()
+        if head == inf:  # pragma: no cover - defensive
             break
+        env.run(until=nextafter(head, inf))
     return env.now
 
 

@@ -44,10 +44,10 @@ from repro.checkpoint.capture import (
     workload_digest,
 )
 from repro.checkpoint.envelope import RestoreError, load_checkpoint, validate_envelope
-from repro.checkpoint.runner import SimulationRun
 from repro.cluster.gram import GramJob
 from repro.experiments.setup import (
     ExperimentConfig,
+    SimulationRun,
     _profile_registry,
     build_system,
     build_workload,

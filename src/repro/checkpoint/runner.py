@@ -1,24 +1,16 @@
-"""The checkpoint layer's run object: construction, advancing, checkpointing.
+"""Checkpointed runs: a simulation advanced in checkpoint intervals.
 
-:class:`SimulationRun` bundles every live object of one simulation run —
-environment, streams, workload, multicluster, scheduler, submitter, optional
-fault injector and optional streaming-metrics collector — so the capture and
-restore layers can treat "a run" as one value.  :meth:`SimulationRun.fresh`
-mirrors :func:`repro.experiments.setup.run_experiment`'s construction order
-*exactly* (streams, environment, workload, system, injector, submitter):
-replay-mode restore depends on a fresh run being bit-identical to the run
-the checkpoint was captured from.
-
-:func:`run_checkpointed` is the resumable-long-run driver: it advances the
-simulation in checkpoint intervals, drains finished jobs into streaming
-windowed metrics at every boundary (so memory stays flat at million-job
-scale), and persists a native checkpoint per boundary.
+:func:`run_checkpointed` runs resumable long simulations: it advances a
+:class:`~repro.experiments.setup.SimulationRun` in checkpoint intervals,
+drains finished jobs into streaming windowed metrics at every boundary (so
+memory stays flat at million-job scale), and persists a native checkpoint
+per boundary.  The run object itself lives in :mod:`repro.experiments.setup`,
+beside :func:`~repro.experiments.setup.run_experiment`, which builds and
+advances its runs the same way.
 """
 
 from __future__ import annotations
 
-import gc
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -28,125 +20,13 @@ from repro.checkpoint.capture import (
     step_until,
 )
 from repro.checkpoint.envelope import CheckpointStore, save_checkpoint
-from repro.cluster.multicluster import Multicluster
-from repro.experiments.setup import (
-    ExperimentConfig,
-    _profile_registry,
-    build_system,
-    build_workload,
-)
-from repro.koala.scheduler import KoalaScheduler
-from repro.metrics.windowed import WindowedCollector, WindowedMetrics
-from repro.sim.core import Environment
-from repro.sim.rng import RandomStreams
+from repro.experiments.setup import ExperimentConfig, SimulationRun, gc_paused
+from repro.metrics.windowed import WindowedMetrics
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.submission import WorkloadSubmitter
 
-
-@dataclass
-class SimulationRun:
-    """All live objects of one simulation run, as one value."""
-
-    config: ExperimentConfig
-    env: Environment
-    streams: RandomStreams
-    workload: WorkloadSpec
-    multicluster: Multicluster
-    scheduler: KoalaScheduler
-    submitter: WorkloadSubmitter
-    injector: Optional[object] = None
-    collector: Optional[WindowedCollector] = None
-
-    @classmethod
-    def fresh(
-        cls,
-        config: ExperimentConfig,
-        *,
-        workload: Optional[WorkloadSpec] = None,
-        retain_jobs: bool = True,
-        collect_windowed: bool = False,
-        scheduler_extra: Optional[Dict[str, object]] = None,
-    ) -> "SimulationRun":
-        """Build a run from scratch, mirroring ``run_experiment`` exactly.
-
-        The construction order (streams, environment, workload, system,
-        injector, submitter) is load-bearing: replay-mode restore re-runs a
-        fresh instance and verifies it reaches the captured kernel state
-        bit-for-bit, which only holds if event ids are allocated in the same
-        order here as they were in the checkpointed run.
-        """
-        streams = RandomStreams(seed=config.seed)
-        env = Environment()
-        if workload is None:
-            workload = build_workload(config, streams)
-        multicluster, scheduler = build_system(
-            config, env, streams, scheduler_extra=scheduler_extra
-        )
-        injector = None
-        if config.fault_model is not None:
-            from repro.faults.injector import FaultInjector
-
-            injector = FaultInjector(env, scheduler, config.fault_model, streams)
-        submitter = WorkloadSubmitter(
-            env,
-            scheduler,
-            workload,
-            registry=_profile_registry(config),
-            retain_jobs=retain_jobs,
-        )
-        collector = None
-        if collect_windowed:
-            collector = WindowedCollector()
-            scheduler.hooks.subscribe(collector)
-        return cls(
-            config=config,
-            env=env,
-            streams=streams,
-            workload=workload,
-            multicluster=multicluster,
-            scheduler=scheduler,
-            submitter=submitter,
-            injector=injector,
-            collector=collector,
-        )
-
-    @property
-    def done(self) -> bool:
-        """Whether the workload is fully submitted and every job resolved."""
-        return self.submitter.all_submitted.triggered and self.scheduler.all_done
-
-    def run_to_completion(
-        self,
-        *,
-        check_interval: float = 300.0,
-        drain: bool = False,
-    ) -> None:
-        """Advance until the run is done or its time limit is reached.
-
-        Chunked like ``run_experiment``'s loop (the KIS poll produces events
-        forever, so completion must be re-checked periodically), but built on
-        :func:`step_until` so no stop-event ids are consumed — a run advanced
-        here stays checkpoint-comparable with one advanced by a restore.
-        With ``drain=True``, finished jobs are evicted at every check so the
-        resident set stays proportional to the in-flight working set (the
-        caller is expected to collect metrics through a streaming window).
-        """
-        env = self.env
-        limit = float(self.config.time_limit)
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            while not self.done:
-                if env.now >= limit or env.peek() > limit:
-                    break
-                step_until(env, min(limit, max(env.now + check_interval, env.peek())))
-                if drain:
-                    self.scheduler.drain_finished()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect(generation=0)
+# Not called here: perfbench/ledger.py times the system build through this
+# module attribute by name, so it stays importable from here.
+from repro.experiments.setup import build_system  # noqa: F401
 
 
 def run_checkpointed(
@@ -193,10 +73,7 @@ def run_checkpointed(
     file_index = 0
     captured = 0
 
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
+    with gc_paused():
         while not run.done:
             if env.now >= limit or env.peek() > limit:
                 break
@@ -222,10 +99,6 @@ def run_checkpointed(
                 paths.append(str(target))
                 file_index += 1
         run.scheduler.drain_finished()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-            gc.collect(generation=0)
 
     window = run.collector.window if run.collector is not None else WindowedMetrics()
     return {

@@ -38,8 +38,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.checkpoint.capture import native_unsupported_reason
 from repro.checkpoint.envelope import CheckpointUnsupported
-from repro.checkpoint.runner import SimulationRun
-from repro.experiments.setup import ExperimentConfig, build_workload
+from repro.experiments.setup import ExperimentConfig, SimulationRun, build_workload
 from repro.koala.job import JobKind
 from repro.metrics.windowed import WindowedMetrics
 from repro.sim.rng import RandomStreams
@@ -161,8 +160,8 @@ def _replay_window(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     The window keeps its absolute submit times; the KIS poll loop is told to
     take its first poll at the last serial-grid poll instant not after the
-    window's first submission, so the calendar queue jumps over the empty
-    prefix in one step while every poll at or after the first arrival lands
+    window's first submission, so the kernel jumps over the empty prefix in
+    one step while every poll at or after the first arrival lands
     on exactly the serial run's poll instants.  (Poll instants are exact
     integer multiples of the poll interval in both runs, so the alignment is
     bit-exact, not approximate.)

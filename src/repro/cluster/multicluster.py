@@ -63,7 +63,7 @@ class Multicluster:
     ) -> None:
         self.env = env
         self.network = network or NetworkModel()
-        self.streams = streams or RandomStreams(seed=0)
+        self.streams = streams if streams is not None else RandomStreams(seed=0)
         self.gram_submission_latency = gram_submission_latency
         self.gram_recruit_latency = gram_recruit_latency
         self.gram_latency_jitter = gram_latency_jitter

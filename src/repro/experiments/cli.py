@@ -105,6 +105,7 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.setup import ExperimentConfig, run_experiment
 from repro.metrics.reports import metrics_to_csv, summary_table
+from repro.obs.log import setup_logging, survive_closed_stdout
 from repro.policies.registry import (
     iter_registered,
     policy_doc,
@@ -830,12 +831,11 @@ def _list_scenarios_report() -> str:
     return "\n".join(lines)
 
 
+@survive_closed_stdout
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    from repro.obs.log import setup_logging
 
     setup_logging(quiet=args.quiet)
 

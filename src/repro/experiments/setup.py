@@ -4,30 +4,35 @@ An :class:`ExperimentConfig` captures one run of the paper's experimental
 setup — which workload, which malleability policy, which job-management
 approach, which placement policy, and the substrate parameters (GRAM
 latencies, KIS poll interval, background load, seed).
-:func:`run_experiment` builds the simulated DAS-3, the scheduler and the
-workload submitter, runs the simulation to completion and returns the
-collected :class:`~repro.metrics.collector.ExperimentMetrics`.
+:class:`SimulationRun` builds the simulated DAS-3, the scheduler and the
+workload submitter and advances them to completion; :func:`run_experiment`
+runs one configuration that way and returns the collected
+:class:`~repro.metrics.collector.ExperimentMetrics`.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional
 
 from repro.cluster.background import BackgroundLoadSpec
 from repro.cluster.das3 import das3_multicluster
 from repro.cluster.multicluster import Multicluster
 from repro.koala.scheduler import KoalaScheduler, SchedulerConfig
-from repro.metrics.collector import ExperimentMetrics
+from repro.metrics.collector import ExperimentMetrics, run_digest
 from repro.policies.registry import spec_string
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
 from repro.workloads.registry import build_named_workload
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.submission import WorkloadSubmitter
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.metrics.windowed import WindowedCollector
+    from repro.obs.trace import Tracer
 
 #: Safety bound on simulated time: generous enough for every paper workload
 #: (300 jobs, worst case fully serialised) while still bounding runaway runs.
@@ -417,6 +422,167 @@ def _profile_registry(config: ExperimentConfig):
     return registry
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the duration of a run.
+
+    The event loop allocates heavily (events, schedule entries, generator
+    frames) but almost everything dies by reference counting, so the
+    periodic generation-0 scans only cost time.  The pause is skipped when
+    the caller already disabled collection, and collection is restored (and
+    the run's survivors swept once) on every exit path.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        gc.collect(generation=0)
+
+
+@dataclass
+class SimulationRun:
+    """All live objects of one simulation run, as one value.
+
+    Environment, streams, workload, multicluster, scheduler, submitter,
+    optional fault injector and optional streaming-metrics collector.
+    :func:`run_experiment`, the checkpoint layer and the shard engine all
+    build runs through :meth:`fresh` and advance them through
+    :meth:`run_to_completion`, so there is one construction order and one
+    stop rule.
+    """
+
+    config: ExperimentConfig
+    env: Environment
+    streams: RandomStreams
+    workload: WorkloadSpec
+    multicluster: Multicluster
+    scheduler: KoalaScheduler
+    submitter: WorkloadSubmitter
+    injector: Optional[object] = None
+    collector: Optional["WindowedCollector"] = None
+
+    @classmethod
+    def fresh(
+        cls,
+        config: ExperimentConfig,
+        *,
+        workload: Optional[WorkloadSpec] = None,
+        retain_jobs: bool = True,
+        collect_windowed: bool = False,
+        scheduler_extra: Optional[Dict[str, object]] = None,
+        tracer: Optional["Tracer"] = None,
+    ) -> "SimulationRun":
+        """Build a new run.
+
+        The construction order (streams, environment, workload, system,
+        injector, submitter) is load-bearing: replay-mode restore re-runs a
+        fresh instance and verifies it reaches the captured kernel state
+        bit-for-bit, which only holds if every run allocates event ids in
+        the same order.  A *tracer* is attached before the system is built,
+        so construction-time scheduling (KIS poll, background generators) is
+        traced too.
+        """
+        streams = RandomStreams(seed=config.seed)
+        env = Environment()
+        if tracer is not None:
+            env.set_tracer(tracer)
+        if workload is None:
+            workload = build_workload(config, streams)
+        multicluster, scheduler = build_system(
+            config, env, streams, scheduler_extra=scheduler_extra
+        )
+        injector = None
+        if config.fault_model is not None:
+            from repro.faults.injector import FaultInjector
+
+            injector = FaultInjector(env, scheduler, config.fault_model, streams)
+        submitter = WorkloadSubmitter(
+            env,
+            scheduler,
+            workload,
+            registry=_profile_registry(config),
+            retain_jobs=retain_jobs,
+        )
+        if tracer is not None:
+            scheduler.hooks.set_tracer(tracer)
+        collector = None
+        if collect_windowed:
+            from repro.metrics.windowed import WindowedCollector
+
+            collector = WindowedCollector()
+            scheduler.hooks.subscribe(collector)
+        return cls(
+            config=config,
+            env=env,
+            streams=streams,
+            workload=workload,
+            multicluster=multicluster,
+            scheduler=scheduler,
+            submitter=submitter,
+            injector=injector,
+            collector=collector,
+        )
+
+    @property
+    def done(self) -> bool:
+        """Whether the workload is fully submitted and every job resolved."""
+        return self.submitter.all_submitted.triggered and self.scheduler.all_done
+
+    def run_to_completion(
+        self,
+        *,
+        check_interval: float = 300.0,
+        drain: bool = False,
+    ) -> None:
+        """Advance until the run is done or its time limit is reached.
+
+        The information-service poll and the background generators keep
+        producing events forever, so completion is checked in chunks: the
+        first check at the end of the workload's submission horizon (but no
+        sooner than one *check_interval*), then every *check_interval*
+        simulated seconds, never past the configured time limit.  Each chunk
+        ends with the clock set to its boundary; an event exactly at a
+        boundary fires after the check.  With ``drain=True``, finished jobs
+        are evicted at every check so the resident set stays proportional to
+        the in-flight working set (the caller is expected to collect metrics
+        through a streaming window).
+        """
+        env = self.env
+        limit = float(self.config.time_limit)
+        # A restored run may resume past the first boundary.
+        boundary = max(env.now, min(limit, max(self.workload.duration, check_interval)))
+        with gc_paused():
+            while True:
+                env.run(until=boundary)
+                if drain:
+                    self.scheduler.drain_finished()
+                if self.done or env.now >= limit:
+                    break
+                boundary = min(limit, env.now + check_interval)
+
+
+def _open_tracer(config: ExperimentConfig) -> Optional["Tracer"]:
+    """The tracer *config* (or ``$REPRO_TRACE``) asks for, if any."""
+    target = config.trace or os.environ.get("REPRO_TRACE")
+    if not target:
+        return None
+    from repro.obs.trace import Tracer, open_sink, resolve_trace_path
+
+    return Tracer(
+        open_sink(resolve_trace_path(target, config)),
+        meta={
+            "label": config.label,
+            "seed": config.seed,
+            "workload": config.workload,
+            "job_count": config.job_count,
+        },
+    )
+
+
 def run_experiment(
     config: ExperimentConfig, *, workload: Optional[WorkloadSpec] = None
 ) -> ExperimentResult:
@@ -433,99 +599,36 @@ def run_experiment(
         the same submissions — the property the paper relies on when
         comparing FPSMA and EGS.
     """
-    streams = RandomStreams(seed=config.seed)
-    env = Environment()
-    tracer = None
-    trace_target = config.trace or os.environ.get("REPRO_TRACE")
-    if trace_target:
-        # Attached before the system is built so construction-time
-        # scheduling (KIS poll, background generators) is traced too.
-        from repro.obs.trace import Tracer, open_sink, resolve_trace_path
-
-        tracer = Tracer(
-            open_sink(resolve_trace_path(trace_target, config)),
-            meta={
-                "label": config.label,
-                "seed": config.seed,
-                "queue": env.queue_name,
-                "workload": config.workload,
-                "job_count": config.job_count,
-            },
-        )
-        env.set_tracer(tracer)
+    tracer = _open_tracer(config)
     try:
-        if workload is None:
-            workload = build_workload(config, streams)
-        multicluster, scheduler = build_system(config, env, streams)
-        injector = None
-        if config.fault_model is not None:
-            from repro.faults.injector import FaultInjector
-
-            injector = FaultInjector(env, scheduler, config.fault_model, streams)
-        submitter = WorkloadSubmitter(
-            env, scheduler, workload, registry=_profile_registry(config)
-        )
+        run = SimulationRun.fresh(config, workload=workload, tracer=tracer)
         if tracer is not None:
-            scheduler.hooks.set_tracer(tracer)
             tracer.record(
                 "run_start",
                 label=config.label,
                 seed=config.seed,
-                queue=env.queue_name,
                 time_limit=config.time_limit,
             )
-
-        # Run until every submitted job has finished (checking periodically,
-        # because the information-service poll and the background generators
-        # keep producing events forever), bounded by the configured time
-        # limit.
-        #
-        # The cyclic garbage collector is paused for the duration of the run:
-        # the event loop allocates heavily (events, schedule entries,
-        # generator frames) but almost everything dies by reference counting,
-        # so the periodic generation-0 scans only cost time.  The pause is
-        # skipped when the caller already disabled collection, and collection
-        # is restored (and the run's survivors swept once) in all exit paths.
-        check_interval = 300.0
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            env.run(until=min(config.time_limit, max(workload.duration, check_interval)))
-            while not (submitter.all_submitted.triggered and scheduler.all_done):
-                if env.now >= config.time_limit:
-                    break
-                env.run(until=min(config.time_limit, env.now + check_interval))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect(generation=0)
-
+        run.run_to_completion()
         metrics = ExperimentMetrics.from_run(
-            scheduler, multicluster, label=config.label, faults=injector
+            run.scheduler, run.multicluster, label=config.label, faults=run.injector
         )
         if tracer is not None:
-            import hashlib
-            import json
-
             tracer.record(
                 "run_end",
-                t=env.now,
-                events=env.processed_events,
-                all_done=scheduler.all_done,
-                digest=hashlib.sha256(
-                    json.dumps(metrics.to_dict(), sort_keys=True).encode("utf-8")
-                ).hexdigest(),
+                t=run.env.now,
+                events=run.env.processed_events,
+                all_done=run.scheduler.all_done,
+                digest=run_digest(metrics.to_dict()),
             )
     finally:
         if tracer is not None:
-            env.set_tracer(None)
             tracer.close()
     return ExperimentResult(
         config=config,
         metrics=metrics,
-        workload=workload,
-        simulated_time=env.now,
-        all_done=scheduler.all_done,
-        events_processed=env.processed_events,
+        workload=run.workload,
+        simulated_time=run.env.now,
+        all_done=run.scheduler.all_done,
+        events_processed=run.env.processed_events,
     )

@@ -128,7 +128,8 @@ class FaultInjector:
         self.ref = (
             reference if isinstance(reference, FaultRef) else FaultRef.parse(reference)
         )
-        streams = streams or RandomStreams(seed=0)
+        if streams is None:
+            streams = RandomStreams(seed=0)
         self._victim_rng = streams["faults:victims"]
         layout = {
             cluster.name: cluster.total_processors for cluster in self.multicluster

@@ -172,7 +172,7 @@ class KoalaScheduler:
         self.env = env
         self.multicluster = multicluster
         self.config = config or SchedulerConfig()
-        self.streams = streams or RandomStreams(seed=0)
+        self.streams = streams if streams is not None else RandomStreams(seed=0)
 
         self.hooks = HookDispatcher(self)
         self.placement_policy: PlacementPolicy = build_policy(

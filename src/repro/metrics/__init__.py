@@ -21,7 +21,7 @@ aligned text tables and CSV output for the benchmark harness.
 """
 
 from repro.metrics.cdf import EmpiricalCDF, cdf_points, fraction_at_or_below, percentile
-from repro.metrics.collector import ExperimentMetrics, JobMetrics
+from repro.metrics.collector import ExperimentMetrics, JobMetrics, run_digest
 from repro.metrics.asciiplot import ascii_plot, cdf_plot, sparkline
 from repro.metrics.reports import (
     comparison_table,
@@ -42,6 +42,7 @@ __all__ = [
     "fraction_at_or_below",
     "metrics_to_csv",
     "percentile",
+    "run_digest",
     "sparkline",
     "summary_table",
 ]

@@ -18,6 +18,8 @@ figures plot, already in the right form:
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -442,3 +444,14 @@ class ExperimentMetrics:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ExperimentMetrics {self.label!r}: {len(self.jobs)} jobs>"
+
+
+def run_digest(metrics: Dict[str, Any]) -> str:
+    """The per-run metrics digest: SHA-256 over canonical JSON.
+
+    *metrics* is an :meth:`ExperimentMetrics.to_dict` mapping, fresh or read
+    back from a result record.  Two runs digest identically exactly when
+    they simulated the same outcomes; the trace's ``run_end`` record and the
+    service protocol both carry this value.
+    """
+    return hashlib.sha256(json.dumps(metrics, sort_keys=True).encode("utf-8")).hexdigest()

@@ -69,7 +69,7 @@ def summarize_trace(records: List[Dict[str, Any]]) -> str:
     header = records[0] if records and records[0].get("k") == "header" else {}
     meta = ", ".join(
         f"{key}={header[key]}"
-        for key in ("label", "seed", "queue", "workload", "job_count")
+        for key in ("label", "seed", "workload", "job_count")
         if key in header
     )
     lines.append(f"trace: {len(records)} records, schema {header.get('schema', '?')}")

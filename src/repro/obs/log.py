@@ -8,15 +8,18 @@ default level from the environment (``REPRO_LOG_LEVEL=debug repro-cli ...``).
 
 The handler writes to stderr, keeping stdout clean for reports and JSON —
 the same contract the ad-hoc ``print(..., file=sys.stderr)`` warnings had
-before they moved here.
+before they moved here.  :func:`survive_closed_stdout` completes that
+contract for the CLI entry points: a reader that stops early
+(``repro-cli trace summary t.jsonl | head -1``) ends the process quietly.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 #: Environment variable naming the default log level (``debug``, ``info``,
 #: ``warning``, ``error`` or a numeric level).
@@ -108,3 +111,27 @@ def setup_logging(
     # every record twice.
     logger.propagate = False
     return logger
+
+
+def survive_closed_stdout(main: Callable[..., int]) -> Callable[..., int]:
+    """Wrap a CLI entry point so a closed stdout ends it without a traceback.
+
+    Once the reader of a pipe has gone, the next write (or the final flush)
+    raises :class:`BrokenPipeError`.  The wrapper then points stdout at
+    ``os.devnull`` — the interpreter flushes it once more on exit — and
+    returns exit status 1, the status Python itself uses for ``EPIPE``.
+    """
+
+    @functools.wraps(main)
+    def entry(*args, **kwargs) -> int:
+        try:
+            status = main(*args, **kwargs)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
+        return status
+
+    return entry

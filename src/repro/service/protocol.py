@@ -40,9 +40,10 @@ may correlate pipelined requests.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict, Optional
+
+from repro.metrics.collector import run_digest
 
 #: Protocol revision, reported by ``status`` and checked by nobody yet:
 #: clients are expected to tolerate unknown response fields.
@@ -123,16 +124,14 @@ def response_format(request: Dict[str, Any]) -> str:
 
 
 def metrics_digest(record: Dict[str, Any]) -> str:
-    """SHA-256 over a result record's metrics, the service's result identity.
+    """The service's result identity: the record's per-run metrics digest.
 
-    Matches the per-label digesting of :func:`repro.bench.runner.metrics_digest`
-    (canonical JSON, sorted keys), so a daemon result and a standalone
-    ``repro-cli run`` of the same configuration digest identically exactly
-    when they simulated the same outcomes.
+    :func:`repro.metrics.collector.run_digest` of the record's metrics, so a
+    daemon result and a standalone ``repro-cli run`` of the same
+    configuration digest identically exactly when they simulated the same
+    outcomes.
     """
-    return hashlib.sha256(
-        json.dumps(record["metrics"], sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    return run_digest(record["metrics"])
 
 
 def result_payload(record: Dict[str, Any], fmt: str) -> Dict[str, Any]:

@@ -27,8 +27,7 @@ The public API of the engine is re-exported here so downstream packages can
 simply ``from repro.sim import Environment, Timeout``.
 """
 
-from repro.sim.calqueue import CalendarQueue, HeapQueue, resolve_queue_name
-from repro.sim.core import Environment, EmptySchedule, StopSimulation
+from repro.sim.core import Environment, StopSimulation
 from repro.sim.events import (
     AllOf,
     AnyOf,
@@ -54,15 +53,12 @@ from repro.sim.monitor import Counter, TimeSeries, TimeWeightedStat
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Condition",
     "Container",
     "Counter",
-    "EmptySchedule",
     "Environment",
     "Event",
     "FilterStore",
-    "HeapQueue",
     "Interrupt",
     "PreemptedError",
     "PriorityResource",
@@ -72,7 +68,6 @@ __all__ = [
     "Release",
     "Request",
     "Resource",
-    "resolve_queue_name",
     "StopSimulation",
     "Store",
     "TimeSeries",

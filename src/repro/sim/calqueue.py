@@ -1,336 +1,14 @@
-"""Event-queue implementations for the simulation kernel.
+"""Name of the kernel's event queue.
 
-The :class:`~repro.sim.core.Environment` orders its events by the triple
-``(time, priority, insertion_id)``.  Two interchangeable queue
-implementations provide that total order:
-
-* :class:`HeapQueue` — the classic binary heap (``heapq``), the kernel's
-  original scheduler.  Robust for any event-time distribution, O(log n)
-  per operation with C-implemented primitives.
-* :class:`CalendarQueue` — a self-resizing bucketed queue (R. Brown,
-  *Calendar Queues: A Fast O(1) Priority Queue Implementation for the
-  Simulation Event Set Problem*, CACM 1988).  Events hash into
-  fixed-width time buckets ("days"); dequeueing scans from the current
-  bucket, wrapping around the bucket array (a "year") and falling back
-  to a direct minimum search when a whole year is empty.  The queue
-  re-sizes itself — doubling or halving the bucket count and
-  re-estimating the bucket width from the observed event-time spread —
-  so churn-heavy timeout traffic (the dominant pattern of this
-  project's simulations) stays O(1) per operation.
-
-Both implementations pop events in the **identical** total order: ties on
-time are broken by priority, then by insertion id, which is unique — so a
-simulation produces byte-identical results regardless of the queue
-(enforced by the golden-metrics snapshots and a hypothesis property test).
-
-The implementation is selected per :class:`~repro.sim.core.Environment`
-through the ``REPRO_SIM_QUEUE`` environment variable (``calendar`` is the
-default, ``heap`` the escape hatch).
+The simulation kernel (:mod:`repro.sim.core`) keeps its pending events in a
+binary heap; there is no other queue to choose.  This module stays only
+because ``perfbench/run.py`` imports :func:`resolve_queue_name` for the
+host fingerprint it prints with every benchmark run.
 """
 
 from __future__ import annotations
 
-import os
-from functools import partial
-from heapq import heapify, heappop, heappush
-from math import inf
-from typing import Any, Dict, List, Tuple
 
-#: Environment variable selecting the event-queue implementation.
-QUEUE_ENV = "REPRO_SIM_QUEUE"
-
-#: Recognised queue names.
-QUEUE_HEAP = "heap"
-QUEUE_CALENDAR = "calendar"
-
-#: A scheduled entry: ``(time, priority, insertion_id, event)``.
-Entry = Tuple[float, int, int, Any]
-
-
-def resolve_queue_name(name: "str | None" = None) -> str:
-    """Resolve the queue implementation name (argument > env var > default)."""
-    if name is None:
-        name = os.environ.get(QUEUE_ENV) or QUEUE_CALENDAR
-    name = name.strip().lower()
-    if name not in (QUEUE_HEAP, QUEUE_CALENDAR):
-        raise ValueError(
-            f"unknown event-queue implementation {name!r} "
-            f"(${QUEUE_ENV} accepts '{QUEUE_CALENDAR}' or '{QUEUE_HEAP}')"
-        )
-    return name
-
-
-def make_queue(name: "str | None" = None) -> "HeapQueue | CalendarQueue":
-    """Instantiate the queue implementation selected by *name* / ``$REPRO_SIM_QUEUE``."""
-    resolved = resolve_queue_name(name)
-    if resolved == QUEUE_HEAP:
-        return HeapQueue()
-    return CalendarQueue()
-
-
-class HeapQueue:
-    """The classic ``heapq``-backed event queue.
-
-    ``push`` and ``pop`` are :func:`functools.partial` bindings of the C
-    heap primitives to the backing list, so the hot path pays no Python
-    frame on top of ``heappush``/``heappop``.
-    """
-
-    __slots__ = ("name", "items", "push", "pop")
-
-    def __init__(self) -> None:
-        self.name = QUEUE_HEAP
-        self.items: List[Entry] = []
-        #: ``push(entry)`` — schedule one entry.
-        self.push = partial(heappush, self.items)
-        #: ``pop()`` — remove and return the minimal entry (IndexError if empty).
-        self.pop = partial(heappop, self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def peek_time(self) -> float:
-        """Time of the next entry, or ``inf`` when empty."""
-        items = self.items
-        return items[0][0] if items else inf
-
-    def entries(self) -> List[Entry]:
-        """Sorted snapshot of every pending entry (no mutation).
-
-        Checkpoint introspection: the drain order the queue would produce
-        from here, identical across both implementations.
-        """
-        return sorted(self.items)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<HeapQueue {len(self.items)} entries>"
-
-
-class CalendarQueue:
-    """Self-resizing calendar (bucket) queue over ``(time, priority, id)`` entries.
-
-    Parameters
-    ----------
-    bucket_count:
-        Initial number of buckets (kept a power of two; doubled/halved as
-        the queue grows and shrinks).
-    bucket_width:
-        Initial width, in simulated time, of one bucket ("day").  Re-estimated
-        from the live event-time spread at every resize.
-
-    Notes
-    -----
-    Buckets hold their entries as small binary heaps (``heapq``'s C
-    primitives, so within-bucket ordering costs no Python bytecode and no
-    list shifting).  Entries at the same time always land in the same
-    bucket, so within-bucket tuple ordering *is* the queue's total order —
-    identical to the global heap's.
-
-    The dequeue scan tracks the current bucket and the end of its current
-    "day" (``_bucket_top`` in the closure state).  An entry is only taken
-    from the current bucket if it belongs to the current year; otherwise the
-    scan advances, wrapping at most once around the calendar before falling
-    back to a direct search for the global minimum (rare: it means a whole
-    year was empty).
-
-    ``push``/``pop``/``peek_time`` are compiled as closures over the queue
-    state rather than methods over ``self``: every hot-path state access is
-    a cell-variable load instead of an attribute lookup, which is what lets
-    a pure-Python bucket queue keep pace with the C-implemented heap at
-    simulation sizes.  Inspect the state through :attr:`stats` (a snapshot
-    dict), ``len()`` and ``repr()``.
-    """
-
-    __slots__ = ("name", "push", "pop", "peek_time", "stats", "entries")
-
-    #: Smallest bucket-array size the queue shrinks down to.
-    MIN_BUCKETS = 16
-
-    def __init__(self, bucket_count: int = 16, bucket_width: float = 1.0) -> None:
-        if bucket_count < 1:
-            raise ValueError("bucket_count must be positive")
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        self.name = QUEUE_CALENDAR
-        min_buckets = self.MIN_BUCKETS
-        count = 1
-        while count < max(bucket_count, min_buckets):
-            count *= 2
-
-        # -- closure state ---------------------------------------------------
-        buckets: List[List[Entry]] = [[] for _ in range(count)]
-        mask = count - 1
-        width = float(bucket_width)
-        size = 0
-        #: Index of the bucket the dequeue scan currently points at.
-        current = 0
-        #: Exclusive upper time bound of the current bucket's current day.
-        bucket_top = width
-        #: ``bucket_top - width``: pushes earlier than this rewind the scan.
-        rewind_below = 0.0
-        grow_at = count * 2
-        shrink_at = count // 2 if count > min_buckets else -1
-
-        def push(entry: Entry) -> None:
-            """Insert *entry*, keeping its bucket sorted."""
-            nonlocal size, current, bucket_top, rewind_below
-            time = entry[0]
-            day = int(time // width)
-            heappush(buckets[day & mask], entry)
-            size += 1
-            if time < rewind_below:
-                # Earlier than the dequeue scan position: rewind the scan to
-                # the new entry's bucket so it cannot be skipped.  (The
-                # simulation kernel never schedules into the past, but the
-                # queue stays correct for arbitrary push orders.)
-                current = day & mask
-                bucket_top = (day + 1) * width
-                rewind_below = bucket_top - width
-            if size > grow_at:
-                resize((mask + 1) * 2)
-
-        def pop() -> Entry:
-            """Remove and return the minimal entry (IndexError when empty).
-
-            The common case — the next event lives in the bucket the scan
-            already points at — is handled without entering the scan loop.
-            """
-            nonlocal size
-            bucket = buckets[current]
-            if bucket and bucket[0][0] < bucket_top:
-                size -= 1
-                entry = heappop(bucket)
-                if size < shrink_at:
-                    resize((mask + 1) // 2)
-                return entry
-            return pop_scan()
-
-        def pop_scan() -> Entry:
-            """Slow path of ``pop``: advance the year scan (or search directly)."""
-            nonlocal size, current, bucket_top, rewind_below
-            if not size:
-                raise IndexError("pop from an empty CalendarQueue")
-            i = current
-            top = bucket_top
-            for _ in range(mask + 1):
-                bucket = buckets[i]
-                if bucket and bucket[0][0] < top:
-                    entry = heappop(bucket)
-                    current = i
-                    bucket_top = top
-                    rewind_below = top - width
-                    size -= 1
-                    if size < shrink_at:
-                        resize((mask + 1) // 2)
-                    return entry
-                i = (i + 1) & mask
-                top += width
-            # A whole year was empty: find the global minimum directly.
-            # Entries at equal times share a bucket, so comparing bucket
-            # heads by their full tuples never reaches the (incomparable)
-            # event objects.
-            entry = min(bucket[0] for bucket in buckets if bucket)
-            day = int(entry[0] // width)
-            i = day & mask
-            buckets[i].remove(entry)
-            heapify(buckets[i])
-            current = i
-            bucket_top = (day + 1) * width
-            rewind_below = bucket_top - width
-            size -= 1
-            if size < shrink_at:
-                resize((mask + 1) // 2)
-            return entry
-
-        def peek_time() -> float:
-            """Time of the next entry, or ``inf`` when empty (no mutation)."""
-            if not size:
-                return inf
-            i = current
-            top = bucket_top
-            for _ in range(mask + 1):
-                bucket = buckets[i]
-                if bucket and bucket[0][0] < top:
-                    return bucket[0][0]
-                i = (i + 1) & mask
-                top += width
-            return min(bucket[0][0] for bucket in buckets if bucket)
-
-        def resize(new_count: int) -> None:
-            nonlocal buckets, mask, width, grow_at, shrink_at
-            nonlocal current, bucket_top, rewind_below
-            if new_count < min_buckets:
-                return
-            entries: List[Entry] = []
-            for bucket in buckets:
-                entries.extend(bucket)
-            width = estimate_width(entries)
-            buckets = [[] for _ in range(new_count)]
-            mask = new_count - 1
-            for entry in entries:
-                buckets[int(entry[0] // width) & mask].append(entry)
-            for bucket in buckets:
-                bucket.sort()  # a sorted list is a valid binary heap
-            grow_at = new_count * 2
-            shrink_at = new_count // 2 if new_count > min_buckets else -1
-            # Re-anchor the dequeue scan at the earliest remaining entry.
-            start = min(entry[0] for entry in entries) if entries else 0.0
-            day = int(start // width)
-            current = day & mask
-            bucket_top = (day + 1) * width
-            rewind_below = bucket_top - width
-
-        def estimate_width(entries: List[Entry]) -> float:
-            """Bucket width targeting a few entries per bucket near the head.
-
-            Deterministic function of the queue contents: three times the
-            *median* gap between adjacent distinct event times.  The median
-            is what makes the estimate robust — simulation schedules mix
-            dense near-future traffic (message latencies, poll ticks) with
-            a long tail of far-future completions, and a span-based
-            estimate would let the tail inflate the width until every
-            pending event aliased into one bucket.  Degenerate spreads
-            (all events at one time) keep the previous width.
-            """
-            if len(entries) < 2:
-                return width
-            times = sorted({entry[0] for entry in entries})
-            if len(times) < 2:
-                return width
-            gaps = sorted(times[k + 1] - times[k] for k in range(len(times) - 1))
-            new_width = 3.0 * gaps[len(gaps) // 2]
-            # Guard against pathological tiny widths that would alias every
-            # bucket to the same few slots through float rounding.
-            return new_width if new_width > 1e-9 else 1e-9
-
-        def stats() -> Dict[str, Any]:
-            """Snapshot of the queue geometry (size, bucket count, width)."""
-            return {"size": size, "buckets": mask + 1, "width": width}
-
-        def entries() -> List[Entry]:
-            """Sorted snapshot of every pending entry (no mutation).
-
-            Checkpoint introspection: the drain order the queue would
-            produce from here, identical across both implementations.
-            """
-            out: List[Entry] = []
-            for bucket in buckets:
-                out.extend(bucket)
-            out.sort()
-            return out
-
-        self.push = push
-        self.pop = pop
-        self.peek_time = peek_time
-        self.stats = stats
-        self.entries = entries
-
-    def __len__(self) -> int:
-        return self.stats()["size"]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = self.stats()
-        return (
-            f"<CalendarQueue {state['size']} entries in {state['buckets']} "
-            f"buckets of width {state['width']:g}>"
-        )
+def resolve_queue_name() -> str:
+    """The kernel's event-queue implementation: always ``"heap"``."""
+    return "heap"

@@ -1,42 +1,35 @@
-"""Simulation environment: clock, event queue and execution loop.
+"""Simulation environment: clock, event heap and execution loop.
 
 The :class:`Environment` is the only stateful object a simulation needs to
-share: it keeps the current simulated time, a queue of scheduled events and
-the currently active process.  Everything else (clusters, schedulers,
-applications) is expressed in terms of processes and events bound to an
-environment.
+share: it keeps the current simulated time, a binary heap of scheduled
+``(time, priority, insertion_id, event)`` entries and the currently active
+process.  Everything else (clusters, schedulers, applications) is expressed
+in terms of processes and events bound to an environment.
 
 Fast path
 ---------
 The run loop is the hottest code of the whole project (a full-size figure run
-processes hundreds of thousands of events), so :meth:`Environment.run` inlines
-the work of :meth:`Environment.step` with every lookup hoisted into a local,
-and the environment recycles :class:`~repro.sim.events.Timeout` instances
-through a free list (see :meth:`timeout`).  A timeout is recycled — object
-*and* callback list — only when its sole executed callback was a process
+processes hundreds of thousands of events), so :meth:`Environment.run` — the
+one place events fire — keeps every per-event lookup in a local, and the
+environment recycles :class:`~repro.sim.events.Timeout` instances through a
+free list (see :meth:`timeout`).  A timeout is recycled — object *and*
+callback list — only when its sole executed callback was a process
 resumption, i.e. it was produced by the ubiquitous ``yield env.timeout(d)``
 pattern, in which no reference to the event survives the resumption.
-Timeouts waited on by conditions, interrupted sleeps or ``run(until=...)``
-stop events are never recycled.
-
-The event queue itself is pluggable (see :mod:`repro.sim.calqueue`): a
-calendar/bucket queue by default, the classic binary heap via
-``REPRO_SIM_QUEUE=heap``.  Both produce the identical ``(time, priority,
-insertion_id)`` total order, so simulations are byte-identical across
-implementations.
+Timeouts waited on by conditions, ``run(until=event)`` or interrupted sleeps
+are never recycled.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from heapq import heappop, heappush
 from math import inf
 from typing import Any, Iterable, Optional, Union
-
-from repro.sim.calqueue import make_queue
 
 from repro.sim.events import (
     NORMAL,
     PENDING,
-    URGENT,
     AllOf,
     AnyOf,
     Event,
@@ -47,10 +40,6 @@ from repro.sim.process import Process, ProcessGenerator
 #: The underlying function of ``Process._resume`` bound methods; used to
 #: recognise "plain process sleep" timeouts that are safe to recycle.
 _PROCESS_RESUME = Process._resume
-
-
-class EmptySchedule(Exception):
-    """Raised by :meth:`Environment.step` when no more events are scheduled."""
 
 
 class StopSimulation(Exception):
@@ -89,20 +78,20 @@ class Environment:
     10
     """
 
-    def __init__(self, initial_time: float = 0.0, queue: Optional[str] = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now: float = float(initial_time)
-        #: Pluggable event queue; ``queue`` overrides ``$REPRO_SIM_QUEUE``.
-        self._queue = make_queue(queue)
-        #: Bound ``push`` of the queue, hoisted for the scheduling hot path.
-        self._push = self._queue.push
+        #: Pending ``(time, priority, insertion_id, event)`` entries, a heap.
+        self._heap: list = []
+        #: ``heappush`` bound to the heap once, for the scheduling hot path
+        #: (:meth:`set_tracer` swaps in a recording wrapper).
+        self._push = partial(heappush, self._heap)
         self._eid: int = 0
         self._active_process: Optional[Process] = None
         #: Free list of recycled plain-sleep timeouts (see module docstring).
         self._timeout_pool: list[Timeout] = []
         self._events_processed: int = 0
         #: Optional :class:`repro.obs.trace.Tracer`.  ``None`` (the default)
-        #: costs exactly one attribute check per :meth:`run` call — the
-        #: untraced loop below is byte-identical to the pre-tracing one.
+        #: costs exactly one attribute check per :meth:`run` call.
         self._tracer = None
 
     # -- basic accessors -------------------------------------------------
@@ -111,11 +100,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def queue_name(self) -> str:
-        """Name of the event-queue implementation this environment uses."""
-        return self._queue.name
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -146,7 +130,7 @@ class Environment:
         do not retain a reference to a plain-sleep timeout past the yield
         that waits on it — once it has resumed its process, the object may be
         reused for a later timeout.  (Timeouts waited on by conditions,
-        ``run(until=...)`` or interrupted sleeps are never recycled.)
+        ``run(until=event)`` or interrupted sleeps are never recycled.)
         """
         pool = self._timeout_pool
         if pool:
@@ -232,19 +216,20 @@ class Environment:
 
     def peek(self) -> float:
         """Return the time of the next scheduled event, or ``inf`` if none."""
-        return self._queue.peek_time()
+        heap = self._heap
+        return heap[0][0] if heap else inf
 
     def pending_entries(self):
         """Sorted snapshot of every pending ``(time, priority, id, event)``.
 
-        Checkpoint introspection (both queue backends): the drain order the
-        simulation would continue with.  A snapshot — mutating the returned
-        list does not touch the queue.
+        Checkpoint introspection: the drain order the simulation would
+        continue with.  A snapshot — mutating the returned list does not
+        touch the heap.
         """
-        return self._queue.entries()
+        return sorted(self._heap)
 
     def kernel_state(self) -> dict:
-        """JSON-able fingerprint of the kernel: clock, counters, queue shape.
+        """JSON-able fingerprint of the kernel: clock, counters, heap size.
 
         Captured into checkpoint envelopes so a restore can verify it
         re-created (or re-reached) exactly the state that was saved.
@@ -253,8 +238,7 @@ class Environment:
             "now": self._now,
             "event_id": self._eid,
             "events_processed": self._events_processed,
-            "queue": self._queue.name,
-            "pending": len(self._queue),
+            "pending": len(self._heap),
             "timeout_pool": len(self._timeout_pool),
         }
 
@@ -263,17 +247,17 @@ class Environment:
 
         With a tracer attached, every schedule emits a ``sched`` record
         (via a wrapped ``_push``, so the disabled path keeps the plain
-        bound method) and :meth:`run` switches to the traced loop, which
+        ``heappush`` binding) and :meth:`run` pops through a wrapper that
         emits an ``ev`` record per fired event and periodic ``queue``
         snapshots.  Trace records carry simulated time only — never
         wall-clock — so same-seed runs produce byte-identical traces.
         """
         self._tracer = tracer
+        push = partial(heappush, self._heap)
         if tracer is None:
-            self._push = self._queue.push
+            self._push = push
             return
         write = tracer.write
-        push = self._queue.push
 
         def traced_push(item) -> None:
             write(
@@ -289,48 +273,39 @@ class Environment:
 
         self._push = traced_push
 
-    def step(self) -> None:
-        """Process the next scheduled event.
+    #: Traced runs: a ``queue`` snapshot record every this many events.
+    TRACE_QUEUE_SNAPSHOT_EVERY = 4096
 
-        Raises
-        ------
-        EmptySchedule
-            If no events are scheduled.
+    def _traced_pop(self):
+        """A ``heappop`` that writes the trace records of each fired event.
+
+        Built once per :meth:`run` call: one ``ev`` record per event, and a
+        ``queue`` snapshot every :data:`TRACE_QUEUE_SNAPSHOT_EVERY` events
+        of the call.
         """
-        try:
-            self._now, _, _, event = self._queue.pop()
-        except IndexError:
-            raise EmptySchedule() from None
+        write = self._tracer.write
+        every = self.TRACE_QUEUE_SNAPSHOT_EVERY
+        processed_before = self._events_processed
+        fired = 0
 
-        callbacks = event.callbacks
-        if callbacks is None:  # pragma: no cover - defensive
-            return
-        event.callbacks = None
-        self._events_processed += 1
-        for callback in callbacks:
-            callback(event)
+        def pop(heap):
+            nonlocal fired
+            item = heappop(heap)
+            now = item[0]
+            write({"k": "ev", "t": now, "pr": item[1], "e": type(item[3]).__name__})
+            fired += 1
+            if not fired % every:
+                write(
+                    {
+                        "k": "queue",
+                        "t": now,
+                        "pending": len(heap),
+                        "processed": processed_before + fired,
+                    }
+                )
+            return item
 
-        if event._ok:
-            self._maybe_recycle(event, callbacks)
-        elif not event.defused:
-            # An event failed and nobody handled it: surface the error so the
-            # simulation does not silently swallow programming mistakes.
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise RuntimeError(f"event {event!r} failed with non-exception {exc!r}")
-
-    def _maybe_recycle(self, event: Event, callbacks: list) -> None:
-        """Recycle a processed plain-sleep timeout (see module docstring)."""
-        if (
-            type(event) is Timeout
-            and len(callbacks) == 1
-            and getattr(callbacks[0], "__func__", None) is _PROCESS_RESUME
-        ):
-            callbacks.clear()
-            event.callbacks = callbacks  # reuse the emptied list next time
-            event._value = PENDING
-            self._timeout_pool.append(event)
+        return pop
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -338,11 +313,12 @@ class Environment:
         Parameters
         ----------
         until:
-            * ``None`` — run until the event queue is exhausted;
-            * a number — run until the clock reaches that time (a value equal
-              to the current time is tolerated as a no-op, so drivers may
-              compute ``until=min(limit, ...)`` without guarding the moment
-              the clock reaches the limit);
+            * ``None`` — run until no events are left;
+            * a number — fire every event scheduled *earlier* than that
+              time, then set the clock to it.  Events at exactly that time
+              stay pending, and no event is scheduled to stop the run, so a
+              chunked advance allocates no event ids.  A value equal to the
+              current time is a no-op;
             * an :class:`~repro.sim.events.Event` — run until that event is
               processed and return its value.
 
@@ -350,50 +326,31 @@ class Environment:
         -------
         The value of the *until* event if one was given, otherwise ``None``.
         """
-        if self._tracer is not None:
-            return self._run_traced(until)
-        stop_event: Optional[Event] = None
-        if until is not None:
-            if isinstance(until, Event):
-                stop_event = until
-                if stop_event.callbacks is None:
-                    # Already processed: nothing to run.
-                    return stop_event.value
-                stop_event.callbacks.append(StopSimulation.callback)
-            else:
-                at = float(until)
-                if at == self._now:
-                    # Nothing can happen between now and now.
-                    return None
-                if at < self._now:
-                    raise ValueError(
-                        f"until ({at}) must not be earlier than the current time ({self._now})"
-                    )
-                stop_event = Event(self)
-                stop_event._ok = True
-                stop_event._value = None
-                stop_event.callbacks.append(StopSimulation.callback)
-                self.schedule(stop_event, priority=URGENT, delay=at - self._now)
+        horizon = inf
+        stop: Optional[Event] = None
+        if isinstance(until, Event):
+            if until.callbacks is None:
+                # Already processed: nothing to run.
+                return until.value
+            until.callbacks.append(StopSimulation.callback)
+            stop = until
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self._now:
+                raise ValueError(
+                    f"until ({horizon}) must not be earlier than the current time ({self._now})"
+                )
 
-        # Inlined event loop: identical semantics to repeated ``step()``
-        # calls, with every per-event lookup hoisted into a local.
+        heap = self._heap
+        pop = heappop if self._tracer is None else self._traced_pop()
         pool = self._timeout_pool
-        pop = self._queue.pop
         pending = PENDING
         timeout_cls = Timeout
         resume_func = _PROCESS_RESUME
         processed = 0
         try:
-            while True:
-                try:
-                    item = pop()
-                except IndexError:
-                    if stop_event is not None and not stop_event.triggered:
-                        raise RuntimeError(
-                            f"no scheduled events left but the until event "
-                            f"{stop_event!r} was never triggered"
-                        ) from None
-                    return None
+            while heap and heap[0][0] < horizon:
+                item = pop(heap)
                 self._now = item[0]
                 event = item[3]
                 callbacks = event.callbacks
@@ -417,107 +374,24 @@ class Environment:
                         event._value = pending
                         pool.append(event)
                 elif not event.defused:
+                    # An event failed and nobody handled it: surface the
+                    # error so the simulation does not silently swallow
+                    # programming mistakes.
                     exc = event._value
                     if isinstance(exc, BaseException):
                         raise exc
                     raise RuntimeError(
                         f"event {event!r} failed with non-exception {exc!r}"
                     )
-        except StopSimulation as stop:
-            return stop.args[0] if stop.args else None
+        except StopSimulation as stopped:
+            return stopped.args[0] if stopped.args else None
         finally:
             self._events_processed += processed
-
-    #: Traced loop: a ``queue`` snapshot record every this many events.
-    TRACE_QUEUE_SNAPSHOT_EVERY = 4096
-
-    def _run_traced(self, until: Union[None, float, Event] = None) -> Any:
-        """The instrumented twin of :meth:`run` (tracer attached).
-
-        Same semantics, plus one ``ev`` record per fired event and a
-        ``queue`` snapshot every :data:`TRACE_QUEUE_SNAPSHOT_EVERY` events.
-        Kept as a separate copy of the loop so the untraced hot path pays
-        nothing — not even dead branches — for the instrumentation.
-        """
-        stop_event: Optional[Event] = None
+        if stop is not None:
+            raise RuntimeError(
+                f"no scheduled events left but the until event {stop!r} "
+                f"was never triggered"
+            )
         if until is not None:
-            if isinstance(until, Event):
-                stop_event = until
-                if stop_event.callbacks is None:
-                    return stop_event.value
-                stop_event.callbacks.append(StopSimulation.callback)
-            else:
-                at = float(until)
-                if at == self._now:
-                    return None
-                if at < self._now:
-                    raise ValueError(
-                        f"until ({at}) must not be earlier than the current time ({self._now})"
-                    )
-                stop_event = Event(self)
-                stop_event._ok = True
-                stop_event._value = None
-                stop_event.callbacks.append(StopSimulation.callback)
-                self.schedule(stop_event, priority=URGENT, delay=at - self._now)
-
-        pool = self._timeout_pool
-        queue = self._queue
-        pop = queue.pop
-        pending = PENDING
-        timeout_cls = Timeout
-        resume_func = _PROCESS_RESUME
-        write = self._tracer.write
-        snapshot_every = self.TRACE_QUEUE_SNAPSHOT_EVERY
-        processed = 0
-        try:
-            while True:
-                try:
-                    item = pop()
-                except IndexError:
-                    if stop_event is not None and not stop_event.triggered:
-                        raise RuntimeError(
-                            f"no scheduled events left but the until event "
-                            f"{stop_event!r} was never triggered"
-                        ) from None
-                    return None
-                self._now = now = item[0]
-                event = item[3]
-                write({"k": "ev", "t": now, "pr": item[1], "e": type(event).__name__})
-                callbacks = event.callbacks
-                if callbacks is None:  # pragma: no cover - defensive
-                    continue
-                event.callbacks = None
-                processed += 1
-                if not processed % snapshot_every:
-                    write(
-                        {
-                            "k": "queue",
-                            "t": now,
-                            "pending": len(queue),
-                            "processed": self._events_processed + processed,
-                        }
-                    )
-                for callback in callbacks:
-                    callback(event)
-
-                if event._ok:
-                    if (
-                        type(event) is timeout_cls
-                        and len(callbacks) == 1
-                        and getattr(callbacks[0], "__func__", None) is resume_func
-                    ):
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        event._value = pending
-                        pool.append(event)
-                elif not event.defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise RuntimeError(
-                        f"event {event!r} failed with non-exception {exc!r}"
-                    )
-        except StopSimulation as stop:
-            return stop.args[0] if stop.args else None
-        finally:
-            self._events_processed += processed
+            self._now = horizon
+        return None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.bench import (
@@ -166,3 +168,17 @@ def test_baseline_round_trips_through_json(tmp_path):
     save_baseline(tmp_path, original)
     loaded = load_baseline(tmp_path, "figure7")
     assert loaded == original
+
+
+def test_calendar_era_baseline_still_gates_a_record_without_the_queue_field(tmp_path):
+    """The committed baselines carry ``"queue": "calendar"`` from before the
+    kernel went heap-only; records no longer name a queue, and the gate must
+    still compare them instead of waving every slowdown through."""
+    baseline = record(wall=1.0).to_dict()
+    baseline["queue"] = "calendar"
+    (tmp_path / "BENCH_figure7.json").write_text(json.dumps(baseline), encoding="utf-8")
+    current = record(wall=1.3)
+    assert "queue" not in current.to_dict()
+    comparison = check_record(current, directory=tmp_path, threshold=0.15)
+    assert comparison.status == STATUS_REGRESSION
+    assert comparison.failed

@@ -44,32 +44,3 @@ def test_repeated_serial_runs_are_byte_identical(scenario):
 
 def test_figure6_report_is_stable():
     assert scenario_report("figure6") == scenario_report("figure6")
-
-
-@pytest.mark.parametrize("scenario", ["figure7", "fault-sweep", "churn-replay"])
-def test_heap_and_calendar_queues_simulate_identically(scenario, monkeypatch):
-    """The two event-queue implementations are observationally equivalent.
-
-    ``REPRO_SIM_QUEUE`` selects the kernel's event queue (see
-    ``repro.sim.calqueue``); both must produce byte-identical metrics for
-    the same sweep — the sweep-level version of the per-entry drain-order
-    property in ``tests/sim/test_calqueue.py``.
-    """
-    monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-    calendar = run_scenario(scenario, job_count=8, seed=0, jobs=1, cache=None)
-    monkeypatch.setenv("REPRO_SIM_QUEUE", "heap")
-    heap = run_scenario(scenario, job_count=8, seed=0, jobs=1, cache=None)
-    assert sweep_digest(calendar) == sweep_digest(heap)
-    assert {label: r.events_processed for label, r in calendar.items()} == {
-        label: r.events_processed for label, r in heap.items()
-    }
-
-
-def test_parallel_sweep_is_queue_independent(monkeypatch):
-    # Worker subprocesses inherit the selection through the environment;
-    # a calendar parallel sweep must match a heap serial sweep exactly.
-    monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-    parallel = run_scenario("figure7", job_count=8, seed=0, jobs=2, cache=None)
-    monkeypatch.setenv("REPRO_SIM_QUEUE", "heap")
-    serial = run_scenario("figure7", job_count=8, seed=0, jobs=1, cache=None)
-    assert sweep_digest(parallel) == sweep_digest(serial)

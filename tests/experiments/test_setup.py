@@ -8,8 +8,10 @@ from repro.experiments import ExperimentConfig, build_workload, run_experiment
 from repro.experiments.setup import (
     DEFAULT_BACKGROUND_PROFILE,
     FIGURE8_BACKGROUND_PROFILE,
+    SimulationRun,
     default_background,
 )
+from repro.metrics import run_digest
 from repro.sim import RandomStreams
 
 
@@ -103,3 +105,26 @@ def test_run_experiment_without_background_or_malleability():
     # Without a malleability manager nothing ever grows.
     assert all(j.maximum_allocation == 2 for j in result.metrics.jobs)
     assert result.metrics.total_grow_messages == 0
+
+
+def test_prebuilt_workload_simulates_like_the_configured_one():
+    """Handing in the workload must not change the run's random streams.
+
+    Regression test: the multicluster, the scheduler and the fault injector
+    replaced a seed-N stream set with seed 0 while no lane of it had been
+    drawn yet (``RandomStreams`` defines ``__len__``, so such a set is
+    falsy) — exactly the set a run holds when its workload comes pre-built.
+    """
+    config = small_config(seed=1, job_count=8, fault_model="fault:exp?mtbf=3600&mttr=600")
+    prebuilt = build_workload(config, RandomStreams(config.seed))
+    own = run_experiment(config)
+    handed_in = run_experiment(config, workload=prebuilt)
+    assert run_digest(handed_in.metrics.to_dict()) == run_digest(own.metrics.to_dict())
+
+
+def test_fresh_run_components_share_the_run_streams():
+    config = small_config(seed=3, job_count=4, fault_model="fault:exp?mtbf=3600&mttr=600")
+    run = SimulationRun.fresh(config, workload=build_workload(config, RandomStreams(3)))
+    assert run.multicluster.streams is run.streams
+    assert run.scheduler.streams is run.streams
+    assert "faults:victims" in run.streams

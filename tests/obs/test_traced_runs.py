@@ -1,29 +1,27 @@
 """Tracing must observe, never perturb: traced == untraced, always.
 
-The property test sweeps seeds and policies over both kernel event-queue
-backends and requires the traced run's metrics to digest identically to the
-untraced run's — the observability layer is a pure observer.  Same-seed
+The property test sweeps seeds and policies and requires the traced run's
+metrics to digest identically to the untraced run's — the observability
+layer is a pure observer.  Same-seed
 traces must additionally be byte-identical files (the foundation of
 ``repro-cli trace diff``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+from functools import partial
+from heapq import heappush
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.setup import ExperimentConfig, run_experiment
+from repro.metrics import run_digest
 from repro.obs.trace import load_trace, validate_trace
 
 
 def _digest(result) -> str:
-    return hashlib.sha256(
-        json.dumps(result.metrics.to_dict(), sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    return run_digest(result.metrics.to_dict())
 
 
 def _config(seed, policy, **overrides):
@@ -37,7 +35,6 @@ def _config(seed, policy, **overrides):
     )
 
 
-@pytest.mark.parametrize("queue", ["calendar", "heap"])
 @settings(
     max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -45,11 +42,8 @@ def _config(seed, policy, **overrides):
     seed=st.integers(min_value=0, max_value=2**16),
     policy=st.sampled_from(["FPSMA", "EGS", None]),
 )
-def test_traced_and_untraced_runs_digest_identically(
-    tmp_path_factory, monkeypatch, queue, seed, policy
-):
-    monkeypatch.setenv("REPRO_SIM_QUEUE", queue)
-    target = tmp_path_factory.mktemp("traces") / f"{queue}-{seed}.jsonl"
+def test_traced_and_untraced_runs_digest_identically(tmp_path_factory, seed, policy):
+    target = tmp_path_factory.mktemp("traces") / f"{seed}.jsonl"
     untraced = run_experiment(_config(seed, policy))
     traced = run_experiment(_config(seed, policy, trace=str(target)))
     assert _digest(traced) == _digest(untraced)
@@ -59,9 +53,7 @@ def test_traced_and_untraced_runs_digest_identically(
     assert records[-1]["digest"] == _digest(traced)
 
 
-@pytest.mark.parametrize("queue", ["calendar", "heap"])
-def test_same_seed_traces_are_byte_identical(tmp_path, monkeypatch, queue):
-    monkeypatch.setenv("REPRO_SIM_QUEUE", queue)
+def test_same_seed_traces_are_byte_identical(tmp_path):
     paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for path in paths:
         run_experiment(_config(3, "FPSMA", trace=str(path)))
@@ -107,13 +99,19 @@ def test_tracer_detaches_after_the_run(tmp_path):
     assert env._tracer is None
 
 
+def _pushes_raw(env) -> bool:
+    """Whether *env* schedules through the plain ``heappush`` binding."""
+    push = env._push
+    return isinstance(push, partial) and push.func is heappush and push.args[0] is env._heap
+
+
 def test_disabled_tracing_leaves_the_hot_path_untouched():
-    """set_tracer(None) must restore the raw queue-push fast path."""
+    """set_tracer(None) must restore the raw heap-push fast path."""
     from repro.sim.core import Environment
 
     env = Environment()
     assert env._tracer is None
-    assert env._push == env._queue.push
+    assert _pushes_raw(env)
 
     class Sink:
         def write(self, record):
@@ -125,6 +123,6 @@ def test_disabled_tracing_leaves_the_hot_path_untouched():
     from repro.obs.trace import Tracer
 
     env.set_tracer(Tracer(Sink()))
-    assert env._push != env._queue.push
+    assert not _pushes_raw(env)
     env.set_tracer(None)
-    assert env._push == env._queue.push
+    assert _pushes_raw(env)

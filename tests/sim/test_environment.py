@@ -4,17 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment
+from repro.sim import Environment, Event
 
 
 def test_clock_starts_at_initial_time():
     assert Environment().now == 0.0
     assert Environment(initial_time=42.5).now == 42.5
-
-
-def test_step_on_empty_schedule_raises():
-    with pytest.raises(EmptySchedule):
-        Environment().step()
 
 
 def test_run_without_events_returns_immediately():
@@ -56,6 +51,61 @@ def test_run_until_time_stops_exactly_there():
     env.run(until=10)
     assert env.now == 10
     assert ticks[-1] <= 10
+
+
+def test_run_until_time_fires_only_earlier_events():
+    """``run(until=t)``: events before ``t`` fire, one at ``t`` stays pending.
+
+    The clock ends at ``t`` and no stop event is scheduled, so the event-id
+    counter does not move and only the fired events are counted.
+    """
+    env = Environment()
+    fired = []
+    for at in (1.0, 4.0, 10.0, 12.0):
+        env.timeout(at).callbacks.append(lambda event, at=at: fired.append(at))
+    ids_before = env._eid
+    env.run(until=10.0)
+    assert fired == [1.0, 4.0]
+    assert env.now == 10.0
+    assert env._eid == ids_before
+    assert env.processed_events == 2
+    assert env.peek() == 10.0
+    env.run(until=11.0)
+    assert fired == [1.0, 4.0, 10.0]
+    assert env.now == 11.0
+
+
+def test_run_until_time_on_an_empty_queue_moves_the_clock():
+    env = Environment()
+    env.run(until=50.0)
+    assert env.now == 50.0
+    assert env.processed_events == 0
+
+
+def test_events_drain_in_time_priority_insertion_order():
+    env = Environment()
+    fired = []
+    for name, at, priority in (
+        ("late", 5.0, 1),
+        ("early", 1.0, 1),
+        ("urgent-late", 5.0, 0),
+        ("earliest", 0.5, 1),
+        ("late-again", 5.0, 1),
+    ):
+        event = Event(env)
+        event._ok, event._value = True, None
+        event.callbacks.append(lambda event, name=name: fired.append(name))
+        env.schedule_at(event, at, priority=priority)
+    assert [entry[0] for entry in env.pending_entries()] == [0.5, 1.0, 5.0, 5.0, 5.0]
+    env.run()
+    assert fired == ["earliest", "early", "urgent-late", "late", "late-again"]
+    assert env.pending_entries() == []
+
+
+def test_resolve_queue_name_names_the_heap():
+    from repro.sim.calqueue import resolve_queue_name
+
+    assert resolve_queue_name() == "heap"
 
 
 def test_run_until_past_time_rejected():

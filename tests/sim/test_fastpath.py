@@ -16,8 +16,6 @@ every timeout in this repository is yielded inline.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim import AnyOf, Environment, Interrupt
 
 
@@ -140,13 +138,3 @@ def test_processed_events_counter_advances():
     # Initialize + two timeouts + the process-termination event.
     assert env.processed_events == 4
     assert process.processed
-
-
-def test_processed_events_counted_by_step_too():
-    env = Environment()
-    env.timeout(1)
-    env.step()
-    assert env.processed_events == 1
-    with pytest.raises(Exception):
-        env.step()  # EmptySchedule does not count
-    assert env.processed_events == 1

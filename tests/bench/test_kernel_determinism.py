@@ -44,3 +44,19 @@ def test_repeated_serial_runs_are_byte_identical(scenario):
 
 def test_figure6_report_is_stable():
     assert scenario_report("figure6") == scenario_report("figure6")
+
+
+@pytest.mark.parametrize("scenario", ["figure7", "fault-sweep", "churn-replay"])
+def test_parallel_workers_fire_the_same_kernel_events(scenario):
+    """Worker subprocesses simulate exactly what the parent would.
+
+    Beyond equal metrics, every configuration must fire the same number of
+    kernel events — including under fault injection and trace replay with
+    node churn, whose extra event sources a worker builds on its own.
+    """
+    serial = run_scenario(scenario, job_count=8, seed=0, jobs=1, cache=None)
+    parallel = run_scenario(scenario, job_count=8, seed=0, jobs=2, cache=None)
+    assert sweep_digest(serial) == sweep_digest(parallel)
+    assert {label: r.events_processed for label, r in serial.items()} == {
+        label: r.events_processed for label, r in parallel.items()
+    }

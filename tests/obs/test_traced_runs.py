@@ -60,6 +60,48 @@ def test_same_seed_traces_are_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_trace_records_one_ev_per_fired_event(tmp_path):
+    target = tmp_path / "t.jsonl"
+    result = run_experiment(_config(0, "FPSMA", trace=str(target)))
+    records = load_trace(target)
+    fired = [record for record in records if record["k"] == "ev"]
+    assert len(fired) == result.events_processed
+    assert records[-1]["events"] == result.events_processed
+    times = [record["t"] for record in fired]
+    assert times == sorted(times)
+
+
+def test_queue_snapshots_do_not_perturb_the_run(tmp_path, monkeypatch):
+    """Frequent ``queue`` snapshots change the trace, never the simulation.
+
+    Each snapshot follows the ``ev`` record of the event it counts, at that
+    event's time, and counts every event fired before it.
+    """
+    from repro.sim.core import Environment
+
+    monkeypatch.setattr(Environment, "TRACE_QUEUE_SNAPSHOT_EVERY", 7)
+    target = tmp_path / "t.jsonl"
+    untraced = run_experiment(_config(1, "EGS"))
+    traced = run_experiment(_config(1, "EGS", trace=str(target)))
+    assert _digest(traced) == _digest(untraced)
+    assert traced.events_processed == untraced.events_processed
+
+    records = load_trace(target)
+    fired = 0
+    snapshots = 0
+    for previous, record in zip(records, records[1:]):
+        if record["k"] == "ev":
+            fired += 1
+        elif record["k"] == "queue":
+            snapshots += 1
+            assert previous["k"] == "ev"
+            assert record["t"] == previous["t"]
+            assert record["processed"] == fired
+            assert record["pending"] >= 0
+    # One snapshot per seven events of each run() chunk.
+    assert 0 < snapshots <= traced.events_processed // 7
+
+
 def test_different_seed_traces_diverge_in_simulation_records(tmp_path):
     from repro.obs.cli import diff_traces
 

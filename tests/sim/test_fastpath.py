@@ -138,3 +138,17 @@ def test_processed_events_counter_advances():
     # Initialize + two timeouts + the process-termination event.
     assert env.processed_events == 4
     assert process.processed
+
+
+def test_processed_events_counted_across_chunked_runs():
+    env = Environment()
+    env.timeout(1)
+    env.timeout(3)
+    env.run(until=2)
+    assert env.processed_events == 1
+    env.run(until=2)  # the current time: a no-op
+    assert env.processed_events == 1
+    env.run()
+    assert env.processed_events == 2
+    env.run()  # an empty schedule fires nothing
+    assert env.processed_events == 2

@@ -6,20 +6,22 @@ Baselines are committed ``BENCH_<scenario>.json`` files under
 its scenario:
 
 * no baseline — the record *bootstraps* one (written in place) and passes;
+* a different metrics digest for the same pinned workload — the simulated
+  outcomes changed, the gate fails on any host (refresh the baseline with
+  ``--update`` when the change is intended);
 * slower than baseline by more than the threshold — a **regression**, the
   gate fails;
 * faster than baseline by more than the threshold — an **improvement**,
   reported (and worth committing as the new baseline via ``--update``);
 * within the threshold either way — ok.
 
-Wall-clock time is the gated metric; events/second, peak RSS and the metrics
-digest are compared and reported as notes only (the digest changing means
-the *simulated outcomes* changed, which a pure perf PR should never do).
-A record is only gated against a baseline measured for the same pinned
-workload on the same host fingerprint — comparing wall-clock across
-different machines says nothing about the code — so gating on CI requires a
-baseline committed from a CI run (the workflow uploads every
-``BENCH_*.json`` as an artifact for exactly that).
+The digest is gated whenever the workload is the same (job count and seed):
+it does not depend on the machine.  Wall-clock time is gated only against a
+baseline measured on the same host fingerprint — comparing wall-clock across
+different machines says nothing about the code — so gating it on CI requires
+a baseline committed from a CI run (the workflow uploads every
+``BENCH_*.json`` as an artifact for exactly that).  Events/second and peak
+RSS are reported as notes only.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ STATUS_OK = "ok"
 STATUS_REGRESSION = "regression"
 STATUS_IMPROVEMENT = "improvement"
 STATUS_BOOTSTRAPPED = "bootstrapped"
+STATUS_DIGEST_CHANGED = "digest changed"
 
 
 def default_baseline_dir() -> Path:
@@ -94,7 +97,7 @@ class Comparison:
     @property
     def failed(self) -> bool:
         """Whether this comparison should fail the gate."""
-        return self.status == STATUS_REGRESSION
+        return self.status in (STATUS_REGRESSION, STATUS_DIGEST_CHANGED)
 
     def describe(self) -> str:
         """One line suitable for CI logs."""
@@ -164,7 +167,12 @@ def compare_records(
         _feature_release(baseline.python_version),
     )
     comparable = same_workload and same_host
-    if not comparable:
+    digest_changed = same_workload and current.metrics_digest != baseline.metrics_digest
+    if digest_changed:
+        # The same pinned workload simulated to different outcomes: the
+        # code's behaviour changed, whatever the machine.
+        status = STATUS_DIGEST_CHANGED
+    elif not comparable:
         # Different pinned workloads time different work, and different
         # machines time the same work differently; neither a regression nor
         # an improvement can be concluded.
@@ -196,10 +204,12 @@ def compare_records(
                 "wall-clock not gated; commit a baseline measured on this host "
                 "(e.g. the BENCH_*.json artifact from a CI run) to enable gating"
             )
-        if current.metrics_digest != baseline.metrics_digest:
+        if digest_changed:
             notes.append(
-                "metrics digest changed: the simulated outcomes differ from the "
-                "baseline (expected for feature PRs, suspicious for pure perf PRs)"
+                f"metrics digest changed ({baseline.metrics_digest[:12]} -> "
+                f"{current.metrics_digest[:12]}): the simulated outcomes differ "
+                "from the baseline; if the change is intended, refresh the "
+                "baseline with --update"
             )
     if baseline.events_per_second > 0:
         eps_delta = (

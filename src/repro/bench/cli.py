@@ -15,8 +15,8 @@ Benchmark several scenarios at the paper's full size::
 
     repro-bench figure7 figure8 --job-count 300
 
-Gate against the committed baselines, failing the process on a >15%
-wall-clock regression (what CI runs on every PR)::
+Gate against the committed baselines, failing the process on a changed
+metrics digest or a >15% wall-clock regression (what CI runs on every PR)::
 
     repro-bench figure7 --job-count 40 --check --threshold 15%
 
@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="diff against the committed baselines; exit 1 past the threshold "
-        "(a missing baseline is bootstrapped and passes)",
+        help="diff against the committed baselines; exit 1 on a changed metrics "
+        "digest or past the threshold (a missing baseline is bootstrapped and passes)",
     )
     parser.add_argument(
         "--threshold",
@@ -278,8 +278,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 exit_code = 1
         if exit_code:
             print(
-                "\nbenchmark regression gate FAILED "
-                f"(threshold {threshold * 100.0:.0f}%)",
+                "\nbenchmark gate FAILED (a changed metrics digest, or a "
+                f"wall-clock regression past {threshold * 100.0:.0f}%)",
                 file=sys.stderr,
             )
     return exit_code

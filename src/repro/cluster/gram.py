@@ -17,20 +17,34 @@ therefore exposes two latencies:
 * ``submission_latency`` — submit-to-active time of a GRAM job (stub started);
 * ``recruit_latency`` — time to turn an active stub into an application
   process.
+
+The endpoint creates no simulation process.  A submission is a chain of
+event callbacks, each link a kernel relay (:meth:`Environment.relay
+<repro.sim.core.Environment.relay>`) or the latency timeout, and each at the
+heap position the hops of the former submission process and its gatekeeper
+``Resource`` had: an URGENT *arrival* relay (the process's ``Initialize``)
+queues the submission and grants free gatekeeper slots in arrival order; a
+NORMAL *grant* relay (the slot's ``Request`` event) draws the jittered
+latency and starts the latency timeout; the timeout's callback frees the slot
+with a NORMAL *free* relay (the slot's ``Release`` event, whose firing grants
+the queue head), then allocates and settles the submission.  Without a
+gatekeeper the arrival relay draws the latency itself.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
-from typing import List, Optional
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
 from repro.sim.core import Environment
-from repro.sim.events import Event
+from repro.sim.events import URGENT, Event
 
 _gram_job_ids = count(1)
 
@@ -48,9 +62,13 @@ class GramSubmissionError(RuntimeError):
         self.idle = idle
 
 
-@dataclass
+@dataclass(eq=False)
 class GramJob:
-    """One GRAM job: an allocation plus its lifecycle timestamps."""
+    """One GRAM job: an allocation plus its lifecycle timestamps.
+
+    Compared by identity: ``gram_id`` is unique, so two jobs are the same
+    job exactly when they are the same object.
+    """
 
     owner: str
     processors: int
@@ -117,12 +135,13 @@ class GramEndpoint:
         self.latency_jitter = float(latency_jitter)
         self._rng = rng
         self.max_concurrent_submissions = max_concurrent_submissions
-        if max_concurrent_submissions is not None:
-            from repro.sim.resources import Resource
-
-            self._gatekeeper: Optional[Resource] = Resource(env, max_concurrent_submissions)
-        else:
-            self._gatekeeper = None
+        #: Gatekeeper slots held by granted submissions, from the grant to
+        #: the end of their latency.
+        self._held = 0
+        #: Submissions waiting for a gatekeeper slot, in arrival order.
+        self._waiting: Deque[Tuple[GramJob, Event]] = deque()
+        #: Arrival relays scheduled but not fired yet.
+        self._arriving = 0
         #: GRAM jobs currently live at this endpoint.  Refused and released
         #: jobs are pruned immediately — at streaming workload sizes
         #: (hundreds of thousands of jobs) a grows-forever history would
@@ -157,17 +176,44 @@ class GramEndpoint:
         self.jobs.append(job)
         self.submitted_count += 1
         done = Event(self.env)
-        self.env.process(self._submission(job, done))
+        limit = self.max_concurrent_submissions
+        if limit is None:
+            self.env.relay(partial(self._start_latency, job, done), URGENT)
+        elif self._held < limit or self._arriving:
+            # Submissions queue in arrival order, so one made while an
+            # earlier arrival is still in flight must arrive behind it.
+            self._arriving += 1
+            self.env.relay(partial(self._arrive, job, done), URGENT)
+        else:
+            # Every slot is held and no arrival is in flight.  Only a NORMAL
+            # completion frees a slot, and none fires before an URGENT
+            # arrival would have, so that arrival could only have queued the
+            # submission: queue it now.
+            self._waiting.append((job, done))
         return done
 
-    def _submission(self, job: GramJob, done: Event):
-        if self._gatekeeper is not None:
-            # Wait for a gatekeeper slot: submissions queue behind each other.
-            with self._gatekeeper.request() as slot:
-                yield slot
-                yield self.env.timeout(self._jittered(self.submission_latency))
-        else:
-            yield self.env.timeout(self._jittered(self.submission_latency))
+    def _arrive(self, job: GramJob, done: Event, _event: Event) -> None:
+        self._arriving -= 1
+        self._waiting.append((job, done))
+        self._grant()
+
+    def _grant(self, _event: Optional[Event] = None) -> None:
+        """Grant free gatekeeper slots to the waiting submissions, head first."""
+        waiting = self._waiting
+        limit = self.max_concurrent_submissions
+        while waiting and self._held < limit:
+            job, done = waiting.popleft()
+            self._held += 1
+            self.env.relay(partial(self._start_latency, job, done))
+
+    def _start_latency(self, job: GramJob, done: Event, _event: Event) -> None:
+        timeout = self.env.timeout(self._jittered(self.submission_latency))
+        timeout.callbacks.append(partial(self._complete, job, done))
+
+    def _complete(self, job: GramJob, done: Event, _event: Event) -> None:
+        if self.max_concurrent_submissions is not None:
+            self._held -= 1
+            self.env.relay(self._grant)
         allocation = self.cluster.try_allocate(job.processors, owner=job.owner, kind="grid")
         if allocation is None:
             error = GramSubmissionError(

@@ -9,20 +9,43 @@ multicluster scheduler must be resilient to that background load.
 queue of rigid local jobs, each holding a fixed number of nodes for a fixed
 duration, with optional EASY-style backfilling (disabled by default to match
 the plain FCFS configuration used on the testbed).
+
+The manager creates no simulation process.  Its dispatcher is a callback
+chain whose links sit at the heap positions of the former dispatcher
+process's events:
+
+* construction schedules an URGENT relay (the process's ``Initialize``) that
+  dispatches once and arms;
+* arming takes one wake event from :meth:`Cluster.when_released
+  <repro.cluster.cluster.Cluster.when_released>`; the next release on the
+  cluster or the next submission, whichever comes first, succeeds it, and
+  later ones find it triggered and schedule nothing;
+* the wake's callback schedules a NORMAL relay (the process's ``Condition``
+  event), whose callback dispatches and re-arms.
+
+A started local job is its completion timeout, whose callback releases the
+allocation and finishes the job.  The timeout is pushed when the job starts,
+where the former job process's ``Initialize`` would have pushed it; only a
+job the first (URGENT) dispatch starts pushes it one URGENT relay later, as
+that ``Initialize`` then fired behind the URGENT events already queued.
+:meth:`LocalResourceManager.fail_allocation`
+kills a job by clearing that timeout's callbacks (it then fires empty) and
+finishing the job one URGENT relay later, where the interrupt of the former
+job process was delivered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
-from typing import Deque, Dict, List, Optional
 from collections import deque
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import count
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
 from repro.sim.core import Environment
-from repro.sim.events import Event, Interrupt
-from repro.sim.process import Process
+from repro.sim.events import URGENT, Event
 
 _local_job_ids = count(1)
 
@@ -81,10 +104,12 @@ class LocalResourceManager:
         self._queue: Deque[LocalJob] = deque()
         self._completion_events: Dict[int, Event] = {}
         self._finished: List[LocalJob] = []
-        #: Running jobs keyed by allocation id (for fault injection).
-        self._running: Dict[int, "tuple[LocalJob, Allocation, Process]"] = {}
-        self._wakeup: Optional[Event] = None
-        self._dispatcher = env.process(self._dispatch_loop())
+        #: Running jobs keyed by allocation id (for fault injection), each
+        #: with its completion timeout.
+        self._running: Dict[int, Tuple[LocalJob, Allocation, Event]] = {}
+        #: The armed wake event (``None`` until the first dispatch).
+        self._wake: Optional[Event] = None
+        env.relay(partial(self._dispatch, deferred=True), URGENT)
 
     # -- public interface ------------------------------------------------------
 
@@ -94,7 +119,9 @@ class LocalResourceManager:
         done = Event(self.env)
         self._completion_events[job.job_id] = done
         self._queue.append(job)
-        self._kick()
+        wake = self._wake
+        if wake is not None and not wake.triggered:
+            wake.succeed()
         return done
 
     @property
@@ -112,39 +139,42 @@ class LocalResourceManager:
 
         Local jobs are rigid: losing any node terminates the whole job early.
         Returns ``True`` if a job was killed, ``False`` when the allocation is
-        not one of this manager's running jobs.  The processors come back to
-        the pool when the interrupted job process releases them — the fault
-        injector marks the dead ones failed *before* calling this, so the
-        release cannot be double-promised.
+        not one of this manager's running jobs.  The job's completion timeout
+        is left to fire empty, and the job releases its processors and
+        finishes one URGENT relay later, before the NORMAL events of the
+        instant — the fault injector marks the dead ones failed *before*
+        calling this, so the release cannot be double-promised.
         """
         # Popped immediately: a second failure striking the same job in the
         # same instant (e.g. two trace lines at one timestamp) must be a
-        # no-op, not a second interrupt thrown into a finished generator.
+        # no-op, not a second kill.
         entry = self._running.pop(allocation.allocation_id, None)
         if entry is None:
             return False
-        _, _, process = entry
-        if process.is_alive:
-            process.interrupt("node failure")
+        job, allocation, completion = entry
+        completion.callbacks.clear()
+        self.env.relay(partial(self._finish, job, allocation), URGENT)
         return True
 
     # -- dispatcher -------------------------------------------------------------
 
-    def _kick(self) -> None:
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+    def _arm(self) -> None:
+        # Sleep until either a new submission arrives or processors are
+        # released on the cluster.
+        self._wake = wake = self.cluster.when_released()
+        wake.callbacks.append(self._woken)
 
-    def _dispatch_loop(self):
-        while True:
-            self._start_eligible_jobs()
-            # Sleep until either a new submission arrives or processors are
-            # released on the cluster.
-            self._wakeup = Event(self.env)
-            released = self.cluster.when_released()
-            yield self._wakeup | released
-            self._wakeup = None
+    def _woken(self, _event: Event) -> None:
+        self.env.relay(self._dispatch)
 
-    def _start_eligible_jobs(self) -> None:
+    def _dispatch(self, _event: Event, deferred: bool = False) -> None:
+        # Jobs started by the first dispatch (submitted before the manager's
+        # first instant ran) launch one URGENT hop later, behind the URGENT
+        # events already queued, as the Initialize of their job process did.
+        self._start_eligible_jobs(deferred)
+        self._arm()
+
+    def _start_eligible_jobs(self, deferred: bool) -> None:
         started = True
         while started:
             started = False
@@ -153,7 +183,7 @@ class LocalResourceManager:
             head = self._queue[0]
             if head.processors <= self.cluster.idle_processors:
                 self._queue.popleft()
-                self._start(head)
+                self._start(head, deferred)
                 started = True
             elif self.backfilling:
                 # Start the first later job that fits (no reservation for the
@@ -161,21 +191,26 @@ class LocalResourceManager:
                 for job in list(self._queue)[1:]:
                     if job.processors <= self.cluster.idle_processors:
                         self._queue.remove(job)
-                        self._start(job)
+                        self._start(job, deferred)
                         started = True
                         break
 
-    def _start(self, job: LocalJob) -> None:
+    def _start(self, job: LocalJob, deferred: bool) -> None:
         allocation = self.cluster.allocate(job.processors, owner=job.name, kind="local")
         job.start_time = self.env.now
-        process = self.env.process(self._run(job, allocation))
-        self._running[allocation.allocation_id] = (job, allocation, process)
+        if deferred:
+            self.env.relay(partial(self._launch, job, allocation), URGENT)
+        else:
+            self._launch(job, allocation)
 
-    def _run(self, job: LocalJob, allocation):
-        try:
-            yield self.env.timeout(job.duration)
-        except Interrupt:
-            pass  # killed by a node failure: terminate early
+    def _launch(
+        self, job: LocalJob, allocation: Allocation, _event: Optional[Event] = None
+    ) -> None:
+        completion = self.env.timeout(job.duration)
+        completion.callbacks.append(partial(self._finish, job, allocation))
+        self._running[allocation.allocation_id] = (job, allocation, completion)
+
+    def _finish(self, job: LocalJob, allocation: Allocation, _event: Event) -> None:
         self._running.pop(allocation.allocation_id, None)
         if allocation.active:
             allocation.release()

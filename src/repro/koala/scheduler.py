@@ -23,6 +23,7 @@ configurations may name them (``"WF"``), parameterise them
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Union
 
 from repro.apps.runtime import ExecutionRecord
@@ -414,13 +415,15 @@ class KoalaScheduler:
         self.queue.remove(job)
         runner = self._runners[job.job_id]
         outcome = runner.start(cluster_name, processors, claim=claim, ledger=self.ledger)
-        self.env.process(self._placement_outcome(job, outcome))
+        # The runner triggers *outcome* no sooner than a NORMAL event from
+        # now, and nothing else registers on it, so the handler may register
+        # right away.
+        outcome.callbacks.append(partial(self._placement_outcome, job))
         self.emit(JobPlaced(self.env.now, job, cluster_name, processors))
         return True
 
-    def _placement_outcome(self, job: Job, outcome):
-        started = yield outcome
-        if started:
+    def _placement_outcome(self, job: Job, outcome) -> None:
+        if outcome.value:
             return
         # Claiming failed (processors disappeared between decision and claim):
         # the job goes back to the tail of the placement queue.

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import partial
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.sim.events import (
     NORMAL,
@@ -149,6 +149,29 @@ class Environment:
     def event(self) -> Event:
         """Return a new, untriggered :class:`~repro.sim.events.Event`."""
         return Event(self)
+
+    def relay(self, callback: Callable[[Event], Any], priority: int = NORMAL) -> Event:
+        """Call *callback* one event hop from now, at the current time.
+
+        Schedules a plain, already-succeeded :class:`~repro.sim.events.Event`
+        whose only callback is *callback*, at ``now`` with *priority*.  This
+        is the process-free form of one hop of a fire-once process: an
+        ``URGENT`` relay stands where an ``Initialize`` or an interrupt was
+        (it runs right after the current event's callbacks, before every
+        ``NORMAL`` event at ``now``), a ``NORMAL`` relay where a resource
+        grant, a condition or a wake-up event was (it runs after every
+        ``NORMAL`` event already queued for ``now``).  Because the relay is a
+        plain ``Event``, traces and event counts see it as one.
+        """
+        event = Event.__new__(Event)
+        event.env = self
+        event.callbacks = [callback]
+        event._value = None
+        event._ok = True
+        event.defused = False
+        self._eid = eid = self._eid + 1
+        self._push((self._now, priority, eid, event))
+        return event
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Return a condition event that succeeds when all *events* have."""

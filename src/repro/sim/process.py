@@ -6,6 +6,15 @@ is resumed with the event's value (or the event's exception is thrown into
 it).  When the generator returns, the process event itself succeeds with the
 generator's return value, so processes can wait on each other simply by
 yielding another process.
+
+A process costs one URGENT :class:`~repro.sim.events.Initialize` event to
+start and, as an event itself, one NORMAL exit event when its generator
+ends.  The exit event is scheduled only when something waits on it: a
+process that returns with no callbacks registered (no process yields it, no
+condition holds it, ``run(until=...)`` was not given it) is marked processed
+on the spot, since its exit event would have fired with nothing to call.  A
+process that *fails* always schedules its exit event, so an unhandled failure
+still raises from :meth:`~repro.sim.core.Environment.run`.
 """
 
 from __future__ import annotations
@@ -125,8 +134,14 @@ class Process(Event):
                 event = None  # type: ignore[assignment]
                 self._ok = True
                 self._value = stop.value
-                env._eid = eid = env._eid + 1
-                env._push((env._now, NORMAL, eid, self))
+                if self.callbacks:
+                    env._eid = eid = env._eid + 1
+                    env._push((env._now, NORMAL, eid, self))
+                else:
+                    # Nobody waits on this process: its exit event would
+                    # fire with no callbacks, so it is processed now and
+                    # nothing is scheduled.
+                    self.callbacks = None
                 break
             except BaseException as exc:
                 # Process failed; the environment will re-raise unless a

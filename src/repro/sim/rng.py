@@ -103,11 +103,17 @@ class RandomStreams:
         """Derive a child collection (e.g. one per repetition of an experiment).
 
         The child's streams are independent of the parent's and of siblings
-        with different ``(label, index)``.
+        with different ``(label, index)``.  The child seed comes from the
+        root seed through ``SeedSequence``, keyed by the label's UTF-8 bytes
+        followed by *index* (a non-negative integer), so it is the same in
+        every interpreter — Python's string hashing, which is salted per
+        process, plays no part.
         """
-        base = 0 if self._seed is None else int(self._seed)
-        mixed = hash((base, label, index)) & 0x7FFFFFFF
-        return RandomStreams(seed=mixed)
+        if index < 0:
+            raise ValueError(f"spawn index must be non-negative, got {index}")
+        key = tuple(label.encode("utf-8")) + (int(index),)
+        child = np.random.SeedSequence(entropy=self._root.entropy, spawn_key=key)
+        return RandomStreams(seed=int(child.generate_state(1)[0]))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RandomStreams(seed={self._seed!r}, streams={sorted(self._streams)})"

@@ -16,6 +16,7 @@ from repro.bench import (
 )
 from repro.bench.baseline import (
     STATUS_BOOTSTRAPPED,
+    STATUS_DIGEST_CHANGED,
     STATUS_IMPROVEMENT,
     STATUS_OK,
     STATUS_REGRESSION,
@@ -88,12 +89,30 @@ def test_within_threshold_is_ok_both_ways():
         assert not comparison.failed
 
 
-def test_metrics_digest_change_is_noted_not_gated():
+def test_changed_digest_fails_the_gate():
     comparison = compare_records(
         record(wall=1.0, metrics_digest="digest-2"), record(wall=1.0)
     )
+    assert comparison.status == STATUS_DIGEST_CHANGED
+    assert comparison.failed
+    assert "--update" in comparison.describe()
+
+
+def test_changed_digest_fails_the_gate_on_another_host_too():
+    """Wall-clock does not compare across machines; the digest does."""
+    comparison = compare_records(
+        record(wall=0.5, metrics_digest="digest-2", host="Darwin-arm64"),
+        record(wall=1.0),
+    )
+    assert comparison.status == STATUS_DIGEST_CHANGED
+    assert comparison.failed
+
+
+def test_equal_digest_within_threshold_passes():
+    comparison = compare_records(record(wall=1.05), record(wall=1.0), threshold=0.15)
     assert comparison.status == STATUS_OK
-    assert any("digest" in note for note in comparison.notes)
+    assert not comparison.failed
+    assert not any("digest" in note for note in comparison.notes)
 
 
 def test_workload_mismatch_is_never_gated():
@@ -102,6 +121,14 @@ def test_workload_mismatch_is_never_gated():
     )
     assert comparison.status == STATUS_OK
     assert any("workload mismatch" in note for note in comparison.notes)
+
+
+def test_different_job_count_is_not_gated_on_its_digest():
+    comparison = compare_records(
+        record(wall=1.0, job_count=300, metrics_digest="digest-300"), record(wall=1.0)
+    )
+    assert comparison.status == STATUS_OK
+    assert not comparison.failed
 
 
 def test_host_mismatch_is_never_gated():

@@ -69,6 +69,22 @@ def test_check_fails_on_injected_slowdown(bench_dirs, capsys):
     assert "regression" in capsys.readouterr().out
 
 
+def test_check_fails_on_a_changed_digest(bench_dirs, capsys):
+    output, baselines = bench_dirs
+    assert run_cli(output, baselines, "--check") == 0  # bootstrap
+    baseline_path = baselines / "BENCH_figure7.json"
+    baseline = json.loads(baseline_path.read_text())
+    # Same workload, different simulated outcomes: fails even with a
+    # threshold no timing could cross.
+    baseline["metrics_digest"] = "0" * 64
+    baseline_path.write_text(json.dumps(baseline))
+    assert run_cli(output, baselines, "--check", "--threshold", "400%") == 1
+    captured = capsys.readouterr()
+    assert "digest changed" in captured.out
+    assert "--update" in captured.out
+    assert "FAILED" in captured.err
+
+
 def test_check_reports_improvement_without_failing(bench_dirs, capsys):
     output, baselines = bench_dirs
     assert run_cli(output, baselines, "--check") == 0  # bootstrap

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.sim import RandomStreams
 
 
@@ -64,6 +70,40 @@ def test_spawn_children_are_deterministic_and_distinct():
     again = RandomStreams(seed=5).spawn("repetition", 0)
     assert float(child_a["w"].random()) == float(again["w"].random())
     assert float(child_a["w"].random()) != float(child_b["w"].random())
+
+
+def test_spawn_gives_the_same_child_in_every_interpreter():
+    """String hashing is salted per process; the child seed must not be."""
+    script = (
+        "from repro.sim import RandomStreams; "
+        "print(RandomStreams(seed=7).spawn('rep', 1).seed)"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    seeds = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        seeds.add(result.stdout.strip())
+    assert len(seeds) == 1
+    assert seeds == {str(RandomStreams(seed=7).spawn("rep", 1).seed)}
+
+
+def test_spawn_keys_label_and_index_apart():
+    parent = RandomStreams(seed=7)
+    seeds = {
+        parent.spawn(label, index).seed
+        for label, index in [("rep", 1), ("rep", 2), ("re", 1), ("rep1", 0), ("", 0)]
+    }
+    assert len(seeds) == 5
+    with pytest.raises(ValueError):
+        parent.spawn("rep", -1)
 
 
 @given(name=st.text(min_size=1, max_size=20))

@@ -140,8 +140,6 @@ class GramEndpoint:
         self._held = 0
         #: Submissions waiting for a gatekeeper slot, in arrival order.
         self._waiting: Deque[Tuple[GramJob, Event]] = deque()
-        #: Arrival relays scheduled but not fired yet.
-        self._arriving = 0
         #: GRAM jobs currently live at this endpoint.  Refused and released
         #: jobs are pruned immediately — at streaming workload sizes
         #: (hundreds of thousands of jobs) a grows-forever history would
@@ -176,24 +174,13 @@ class GramEndpoint:
         self.jobs.append(job)
         self.submitted_count += 1
         done = Event(self.env)
-        limit = self.max_concurrent_submissions
-        if limit is None:
+        if self.max_concurrent_submissions is None:
             self.env.relay(partial(self._start_latency, job, done), URGENT)
-        elif self._held < limit or self._arriving:
-            # Submissions queue in arrival order, so one made while an
-            # earlier arrival is still in flight must arrive behind it.
-            self._arriving += 1
-            self.env.relay(partial(self._arrive, job, done), URGENT)
         else:
-            # Every slot is held and no arrival is in flight.  Only a NORMAL
-            # completion frees a slot, and none fires before an URGENT
-            # arrival would have, so that arrival could only have queued the
-            # submission: queue it now.
-            self._waiting.append((job, done))
+            self.env.relay(partial(self._arrive, job, done), URGENT)
         return done
 
     def _arrive(self, job: GramJob, done: Event, _event: Event) -> None:
-        self._arriving -= 1
         self._waiting.append((job, done))
         self._grant()
 

@@ -26,12 +26,12 @@ process's events:
 A started local job is its completion timeout, whose callback releases the
 allocation and finishes the job.  The timeout is pushed when the job starts,
 where the former job process's ``Initialize`` would have pushed it; only a
-job the first (URGENT) dispatch starts pushes it one URGENT relay later, as
-that ``Initialize`` then fired behind the URGENT events already queued.
-:meth:`LocalResourceManager.fail_allocation`
-kills a job by clearing that timeout's callbacks (it then fires empty) and
-finishing the job one URGENT relay later, where the interrupt of the former
-job process was delivered.
+job the first (URGENT) dispatch starts pushes it one URGENT *launch* relay
+later, as that ``Initialize`` then fired behind the URGENT events already
+queued.  :meth:`LocalResourceManager.fail_allocation` kills a job by clearing
+the callbacks of that timeout, or of the launch relay if the job has not
+launched yet (it then fires empty), and finishing the job one URGENT relay
+later, where the interrupt of the former job process was delivered.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class LocalResourceManager:
         self._completion_events: Dict[int, Event] = {}
         self._finished: List[LocalJob] = []
         #: Running jobs keyed by allocation id (for fault injection), each
-        #: with its completion timeout.
+        #: with its completion timeout (or its launch relay, until that fires).
         self._running: Dict[int, Tuple[LocalJob, Allocation, Event]] = {}
         #: The armed wake event (``None`` until the first dispatch).
         self._wake: Optional[Event] = None
@@ -140,10 +140,11 @@ class LocalResourceManager:
         Local jobs are rigid: losing any node terminates the whole job early.
         Returns ``True`` if a job was killed, ``False`` when the allocation is
         not one of this manager's running jobs.  The job's completion timeout
-        is left to fire empty, and the job releases its processors and
-        finishes one URGENT relay later, before the NORMAL events of the
-        instant — the fault injector marks the dead ones failed *before*
-        calling this, so the release cannot be double-promised.
+        (or, for a job not launched yet, its launch relay) is left to fire
+        empty, and the job releases its processors and finishes one URGENT
+        relay later, before the NORMAL events of the instant — the fault
+        injector marks the dead ones failed *before* calling this, so the
+        release cannot be double-promised.
         """
         # Popped immediately: a second failure striking the same job in the
         # same instant (e.g. two trace lines at one timestamp) must be a
@@ -151,8 +152,8 @@ class LocalResourceManager:
         entry = self._running.pop(allocation.allocation_id, None)
         if entry is None:
             return False
-        job, allocation, completion = entry
-        completion.callbacks.clear()
+        job, allocation, handle = entry
+        handle.callbacks.clear()
         self.env.relay(partial(self._finish, job, allocation), URGENT)
         return True
 
@@ -199,7 +200,10 @@ class LocalResourceManager:
         allocation = self.cluster.allocate(job.processors, owner=job.name, kind="local")
         job.start_time = self.env.now
         if deferred:
-            self.env.relay(partial(self._launch, job, allocation), URGENT)
+            # Until it fires, the launch relay is the job's handle, so a kill
+            # in between cancels the launch.
+            launch = self.env.relay(partial(self._launch, job, allocation), URGENT)
+            self._running[allocation.allocation_id] = (job, allocation, launch)
         else:
             self._launch(job, allocation)
 

@@ -291,6 +291,34 @@ def test_job_started_by_the_first_dispatch_ends_behind_earlier_urgent_work():
     assert seen == [0]
 
 
+def test_job_killed_before_its_first_dispatch_launch_is_released_at_once():
+    """A job the first dispatch starts can be killed before its URGENT launch
+    hop runs; it is then released in the kill's instant and never runs on."""
+    env = Environment()
+    cluster, lrm = local_system(env, nodes=4)
+    job = LocalJob(processors=3, duration=10, name="victim")
+    lrm.submit(job)
+    seen = []
+
+    def kill():
+        (allocation,) = cluster.active_allocations
+        cluster.mark_failed(1)
+        assert lrm.fail_allocation(allocation)
+        assert not lrm.fail_allocation(allocation)  # a second strike is a no-op
+        later(env, lambda: seen.append((cluster.idle_processors, job.finish_time)))
+
+    # Queued behind the manager's first dispatch, ahead of the launch hop
+    # that dispatch pushes.
+    urgent(env, kill)
+    env.run()
+
+    assert job.start_time == 0
+    assert seen == [(3, 0)]
+    assert lrm.finished_jobs == [job]
+    assert env.now == 0
+    assert cluster.idle_processors == 3
+
+
 @pytest.mark.parametrize("backfilling", [False, True])
 def test_jobs_queued_before_the_first_dispatch_still_start_in_order(backfilling):
     env = Environment()

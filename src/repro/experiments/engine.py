@@ -154,8 +154,16 @@ class ResultCache:
             return None
 
     def store(self, result: ExperimentResult) -> Path:
-        """Persist *result*; returns the cache file written."""
-        return self.backend.put(config_key(result.config), result_to_record(result))
+        """Persist *result* with its reply head; returns the cache file written.
+
+        The head (:func:`repro.service.protocol.result_head`) is what lets
+        the daemon answer a concise request for this result from the
+        store's first line, without parsing or re-digesting the record.
+        """
+        from repro.service.protocol import result_head
+
+        record = result_to_record(result)
+        return self.backend.put(config_key(result.config), record, head=result_head(record))
 
     def clear(self) -> int:
         """Delete every cached result; returns the number of files removed."""

@@ -148,7 +148,9 @@ class ServiceClient:
         *transport_timeout* overrides the socket timeout for this request
         only (it is a client-side knob, distinct from any ``timeout`` *wire
         field* in ``**fields``); pass ``None`` to block indefinitely
-        (``run_and_wait`` without a deadline does).
+        (``run_and_wait`` without a deadline does).  A transport error,
+        timeouts included, closes the connection before it propagates, so
+        the next request reconnects.
         """
         self.connect()
         assert self._sock is not None and self._reader is not None
@@ -160,8 +162,13 @@ class ServiceClient:
         try:
             self._sock.sendall(protocol.encode(message))
             line = self._reader.readline()
+        except OSError:
+            # A timed-out or broken socket refuses every later read: drop
+            # it, so the next request reconnects instead of failing too.
+            self.close()
+            raise
         finally:
-            if override:
+            if override and self._sock is not None:
                 self._sock.settimeout(self.timeout)
         if not line:
             self.close()

@@ -14,6 +14,10 @@ over a local socket and speak the newline-delimited JSON protocol of
   table: a config that is already queued or running *coalesces* — the new
   client attaches to the existing run instead of spawning a duplicate
   worker.  N concurrent submits of one config execute exactly once.
+* **Cheap store hits.**  Every result is stored with its reply *head*
+  (:func:`repro.service.protocol.result_head`), so a store hit enters the
+  job table with the head alone and a concise reply recomputes nothing;
+  only a detailed reply reads the record back from the store.
 * **Byte identity.**  Workers execute
   :func:`repro.experiments.engine._execute_record`, the exact entry point
   of the parallel sweep engine, and results travel as the exact cache wire
@@ -36,6 +40,7 @@ serialised relative to each other.
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import sys
 import tempfile
@@ -159,6 +164,12 @@ class ServiceJob:
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
+    #: The result's reply head (:func:`repro.service.protocol.result_head`),
+    #: set once the job is done; every reply is built from it.
+    head: Optional[Dict[str, Any]] = None
+    #: The full record, kept only by jobs this daemon ran: store-served
+    #: entries hold the head alone and read the record back from the store
+    #: for a detailed reply.
     record: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     cancel_requested: bool = False
@@ -507,7 +518,7 @@ class ExperimentService:
 
     # -- the submit path (shared by submit/batch/run_and_wait) ---------------
 
-    async def _store_call(self, fn: Callable[..., Any], *args: Any) -> Any:
+    async def _store_call(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         """Run one blocking store operation off the event loop.
 
         The store's file I/O sits behind a cross-process ``flock`` — another
@@ -518,8 +529,21 @@ class ExperimentService:
         """
         assert self._store_io is not None, "start() must run first"
         return await asyncio.get_running_loop().run_in_executor(
-            self._store_io, fn, *args
+            self._store_io, functools.partial(fn, *args, **kwargs)
         )
+
+    async def _stored_payload(self, key: str, fmt: str) -> Optional[Dict[str, Any]]:
+        """The reply fields of *key*'s stored result, or ``None`` on a miss.
+
+        A concise reply reads the head alone; a detailed one takes head and
+        record from one file read.  A head without a digest (a record
+        written with no head) is a miss, like a missing or damaged file.
+        """
+        found = await self._store_call(self.store._read, key, record=fmt == "detailed")
+        if found is None or "digest" not in found[0]:
+            return None
+        head, record = found
+        return protocol.result_payload(head, fmt, record)
 
     def _table_lookup(self, key: str) -> Optional[Tuple[ServiceJob, str]]:
         """Resolve *key* against the in-memory job table, if it can be."""
@@ -548,14 +572,17 @@ class ExperimentService:
         if hit is not None:
             return hit
         # Failed or cancelled jobs are resubmittable; first try the store.
-        record = await self._store_call(self.store.get, key)
+        # Its head is all a table entry keeps: a record written without one
+        # is a miss, run again and rewritten with its head.
+        head = await self._store_call(self.store.head, key)
         hit = self._table_lookup(key)
         if hit is not None:
             return hit
+        served = head is not None and "digest" in head
         tracer = self.tracer
         if tracer is not None:
-            tracer.record("cache", op="submit", key=key, hit=record is not None)
-        if record is not None:
+            tracer.record("cache", op="submit", key=key, hit=served)
+        if served:
             self._store_served.inc()
             job = ServiceJob(
                 key=key,
@@ -564,7 +591,7 @@ class ExperimentService:
                 state=DONE,
                 source="store",
                 submitted_at=time.time(),
-                record=record,
+                head=head,
             )
             job.done.set()
             self.jobs[key] = job
@@ -594,12 +621,19 @@ class ExperimentService:
                     self._pool, self._runner, job.config
                 )
             job.finished_at = time.time()
+            job.head = protocol.result_head(record)
             job.record = record
             job.state = DONE
             self.metrics.histogram("service.job.seconds", base=0.01).observe(
                 job.wall_time or 0.0
             )
-            await self._store_call(self.store.put, job.key, record)
+            try:
+                await self._store_call(self.store.put, job.key, record, head=job.head)
+            except OSError as error:
+                # The result is correct and in memory: serve it from there.
+                _log.warning(
+                    "job %s (%s) done but not stored: %s", job.key[:12], job.name, error
+                )
         except asyncio.CancelledError:
             job.finished_at = time.time()
             job.state = CANCELLED
@@ -632,16 +666,35 @@ class ExperimentService:
         job.error = "cancelled before execution"
         job.done.set()
 
-    def _job_response(self, op: str, job: ServiceJob, how: str, fmt: str) -> Dict[str, Any]:
-        """The response for one job in its current state."""
+    async def _job_response(
+        self, op: str, job: ServiceJob, how: str, fmt: str
+    ) -> Dict[str, Any]:
+        """The response for one job in its current state.
+
+        A detailed reply on a store-served entry reads the record back; if
+        the store no longer has it (evicted, deleted, damaged) the reply is
+        ``not_found`` and the entry is dropped, so a resubmission runs the
+        configuration again.
+        """
         fields: Dict[str, Any] = dict(job.summary())
         # ``source`` says how the daemon first learned the answer; ``via``
         # says how *this* request was resolved (spawned / attached to an
         # in-flight run / already finished this session / read from store).
         fields["via"] = how
         fields["coalesced"] = how == "attached"
-        if job.state == DONE and job.record is not None:
-            fields.update(protocol.result_payload(job.record, fmt))
+        if job.state == DONE:
+            if job.record is not None or fmt != "detailed":
+                payload = protocol.result_payload(job.head, fmt, job.record)
+            else:
+                payload = await self._stored_payload(job.key, fmt)
+            if payload is None:
+                if self.jobs.get(job.key) is job:
+                    del self.jobs[job.key]
+                return protocol.error_response(
+                    op, "not_found", f"stored result for key {job.key!r} is gone",
+                    key=job.key,
+                )
+            fields.update(payload)
         return protocol.ok_response(op, **fields)
 
     # -- operations ----------------------------------------------------------
@@ -653,7 +706,7 @@ class ExperimentService:
         except (TypeError, ValueError) as error:
             return protocol.error_response("submit", "bad_config", str(error))
         job, how = await self._submit_config(key, config)
-        return self._job_response("submit", job, how, fmt)
+        return await self._job_response("submit", job, how, fmt)
 
     async def _op_batch(self, request: Dict[str, Any]) -> Dict[str, Any]:
         fmt = self._response_format(request)
@@ -679,11 +732,11 @@ class ExperimentService:
             return protocol.error_response("get", "bad_request", "'key' or 'config' required")
         job = self.jobs.get(key)
         if job is not None:
-            return self._job_response("get", job, "lookup", fmt)
-        record = await self._store_call(self.store.get, key)
-        if record is not None:
+            return await self._job_response("get", job, "lookup", fmt)
+        payload = await self._stored_payload(key, fmt)
+        if payload is not None:
             fields: Dict[str, Any] = {"key": key, "state": DONE, "source": "store"}
-            fields.update(protocol.result_payload(record, fmt))
+            fields.update(payload)
             return protocol.ok_response("get", **fields)
         return protocol.error_response(
             "get", "not_found", f"no job or stored result for key {key!r}", key=key
@@ -697,8 +750,8 @@ class ExperimentService:
             entry = job.summary()
             if fmt == "detailed":
                 entry["config"] = job.config
-                if job.state == DONE and job.record is not None:
-                    entry["digest"] = protocol.metrics_digest(job.record)
+                if job.state == DONE:
+                    entry["digest"] = job.head["digest"]
             listed.append(entry)
         return protocol.ok_response("list", jobs=listed, count=len(listed))
 
@@ -758,7 +811,7 @@ class ExperimentService:
                     state=job.state,
                 )
         if job.state == DONE:
-            return self._job_response("run_and_wait", job, how, fmt)
+            return await self._job_response("run_and_wait", job, how, fmt)
         return protocol.error_response(
             "run_and_wait",
             "execution_failed" if job.state == FAILED else "cancelled",

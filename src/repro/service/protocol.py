@@ -30,6 +30,17 @@ Every read operation accepts ``"response_format": "concise" | "detailed"``
 and headline metrics; detailed responses embed the full result record (the
 exact cache wire format, byte-identical to a standalone ``repro-cli`` run).
 
+Result heads
+------------
+The fields of a concise reply are fixed when a result is written, so they
+are computed once, by :func:`result_head`, and stored with the record (the
+first line of its store file, see :mod:`repro.service.store`).  A *head*
+holds the ``digest``, ``simulated_time``, ``truncated`` flag and concise
+``metrics``; :func:`result_payload` builds every reply from it — the head
+itself when concise, the head without ``metrics`` plus the record when
+detailed — so a concise store hit recomputes nothing and never parses the
+record.
+
 Responses
 ---------
 ``{"ok": true, "op": ..., ...}`` or
@@ -43,7 +54,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
-from repro.metrics.collector import run_digest
+from repro.metrics.collector import ExperimentMetrics, run_digest
 
 #: Protocol revision, reported by ``status`` and checked by nobody yet:
 #: clients are expected to tolerate unknown response fields.
@@ -134,26 +145,33 @@ def metrics_digest(record: Dict[str, Any]) -> str:
     return run_digest(record["metrics"])
 
 
-def result_payload(record: Dict[str, Any], fmt: str) -> Dict[str, Any]:
-    """The response fields describing one finished result record.
+def result_head(record: Dict[str, Any]) -> Dict[str, Any]:
+    """The head of one finished result record: its concise reply fields.
 
-    Concise: digest, simulated time, truncation flag and the headline
-    summary statistics (:data:`CONCISE_METRIC_KEYS`).  Detailed: all of
-    that plus the complete record — config, per-job metrics, everything the
-    cache stores.
+    Digest (:func:`metrics_digest`), simulated time, truncation flag and
+    the headline summary statistics (:data:`CONCISE_METRIC_KEYS`).  Every
+    result writer computes this once and stores it with the record.
     """
-    from repro.metrics.collector import ExperimentMetrics
-
-    payload: Dict[str, Any] = {
+    summary = ExperimentMetrics.from_dict(record["metrics"]).summary()
+    return {
         "digest": metrics_digest(record),
         "simulated_time": record.get("simulated_time"),
         "truncated": record.get("truncated", False),
+        "metrics": {key: summary[key] for key in CONCISE_METRIC_KEYS if key in summary},
     }
-    if fmt == "detailed":
-        payload["record"] = record
-        return payload
-    summary = ExperimentMetrics.from_dict(record["metrics"]).summary()
-    payload["metrics"] = {
-        key: summary[key] for key in CONCISE_METRIC_KEYS if key in summary
-    }
+
+
+def result_payload(
+    head: Dict[str, Any], fmt: str, record: Optional[Dict[str, Any]] = None
+) -> Dict[str, Any]:
+    """The response fields describing one finished result, from its head.
+
+    Concise: the head (:func:`result_head`).  Detailed: the head without
+    its ``metrics`` plus the complete *record* — config, per-job metrics,
+    everything the cache stores, which already carries the summary.
+    """
+    if fmt != "detailed":
+        return dict(head)
+    payload = {key: value for key, value in head.items() if key != "metrics"}
+    payload["record"] = record
     return payload

@@ -1,6 +1,6 @@
 """Content-addressed result store: the persistence layer of the service.
 
-One record per key, one JSON file per record, addressed purely by content
+One record per key, one file per record, addressed purely by content
 hash — for experiment results the key is
 :func:`repro.experiments.engine.config_key`, a SHA-256 over the canonical
 configuration plus the code version, so the *name* of a result is a proof of
@@ -11,15 +11,27 @@ import cycles with the experiments layer (whose
 
 Guarantees
 ----------
+* **Two lines per file.**  Line 1 is a small JSON envelope:
+  ``schema_version``, ``stored_at``, the writer's ``head`` (a small JSON
+  object describing the record, ``{}`` when the writer gave none) and
+  ``record_sha256``, the SHA-256 of line 2's bytes.  Line 2 is the record,
+  ``json.dumps(record, sort_keys=True)``.  :meth:`ResultStore.head` answers
+  from line 1 and never parses the record; :meth:`ResultStore.get` parses
+  line 2 as well.
 * **Atomic writes.**  Records are written to a temporary sibling and
   ``os.replace``\\ d into place; a reader never observes a partial file.
 * **Cross-process locking.**  Mutations (put, evict, clear) hold an
   exclusive ``flock`` on a sidecar lock file; reads take a shared lock.
-  Many daemons, sweeps and CLIs can share one store directory.
-* **Schema versioning.**  Every file embeds :data:`SCHEMA_VERSION`.  A
-  record written by an older (or newer) schema, a corrupt file, or a
-  non-dict payload is treated as a *miss* and silently rewritten by the
-  next put — old stores degrade to cold ones, they never crash a sweep.
+  Many daemons, sweeps and CLIs can share one store directory.  Reads,
+  deletes and clears of a directory that does not exist create nothing.
+* **Schema versioning and checksums.**  Every file embeds
+  :data:`SCHEMA_VERSION` (2, the two-line format).  A file written under
+  another schema, a corrupt or truncated file, a head that is not an
+  object, or a record line whose SHA-256 differs from the envelope's is a
+  *miss*, silently rewritten by the next put — old stores degrade to cold
+  ones, they never crash a sweep.  The checksum is what lets a head read
+  notice a damaged record line it does not parse, even damage that leaves
+  valid JSON behind.
 * **Bounded size.**  With a byte budget configured, a put that pushes the
   store over the budget evicts least-recently-*used* records (access times
   are tracked via file mtime, bumped on every hit) until it fits again.
@@ -29,6 +41,7 @@ Guarantees
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -44,7 +57,7 @@ except ImportError:  # pragma: no cover - Windows fallback: locking is a no-op
 #: Version of the on-disk record envelope.  Bump whenever the meaning or
 #: shape of stored records changes incompatibly; every record written under
 #: a different version is invisible (a miss) to this code.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Environment variable bounding the default store size (e.g. ``512M``).
 STORE_BUDGET_ENV = "REPRO_STORE_BUDGET"
@@ -82,13 +95,48 @@ def parse_size(text: Union[str, int, float, None]) -> Optional[int]:
     return value
 
 
+def _decode(
+    data: bytes, *, record: bool
+) -> Optional[Tuple[Dict[str, Any], Optional[Dict[str, Any]]]]:
+    """``(head, record)`` from a record file's bytes, or ``None`` if invalid.
+
+    Line 1 must be an envelope of this :data:`SCHEMA_VERSION` with a dict
+    head and the SHA-256 of line 2; without *record* line 2 is never
+    parsed and ``None`` stands in for it, with *record* it must parse to a
+    dict.
+    """
+    try:
+        envelope_line, record_line, tail = data.split(b"\n", 2)
+        envelope = json.loads(envelope_line)
+    except ValueError:  # fewer than two lines, or line 1 is not JSON
+        return None
+    if (
+        tail
+        or not isinstance(envelope, dict)
+        or envelope.get("schema_version") != SCHEMA_VERSION
+        or not isinstance(envelope.get("head"), dict)
+        or envelope.get("record_sha256") != hashlib.sha256(record_line).hexdigest()
+    ):
+        return None
+    if not record:
+        return envelope["head"], None
+    try:
+        payload = json.loads(record_line)
+    except ValueError:
+        return None
+    return (envelope["head"], payload) if isinstance(payload, dict) else None
+
+
 class FileLock:
     """A cross-process advisory lock over one file, via ``flock``.
 
     Usable as a context manager; *shared* locks (many readers) and
-    *exclusive* locks (one writer) are both supported.  On platforms
-    without :mod:`fcntl` the lock degrades to a no-op — single-process
-    correctness is unaffected, only cross-process mutual exclusion is lost.
+    *exclusive* locks (one writer) are both supported.  The lock file is
+    created on first use, its directory is not: acquiring a lock in a
+    directory that does not exist raises :class:`FileNotFoundError`.  On
+    platforms without :mod:`fcntl` the lock degrades to a no-op —
+    single-process correctness is unaffected, only cross-process mutual
+    exclusion is lost.
     """
 
     def __init__(self, path: Union[str, Path], *, shared: bool = False) -> None:
@@ -99,7 +147,6 @@ class FileLock:
     def acquire(self) -> None:
         if self._handle is not None:
             raise RuntimeError("lock is already held")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         handle = open(self.path, "a+")
         if fcntl is not None:
             fcntl.flock(handle.fileno(), fcntl.LOCK_SH if self.shared else fcntl.LOCK_EX)
@@ -199,7 +246,7 @@ class ResultStore:
 
     @property
     def hits(self) -> int:
-        """Valid records returned by :meth:`get` (this instance)."""
+        """Valid records or heads returned by :meth:`get` and :meth:`head`."""
         return self._hits.value
 
     @property
@@ -253,48 +300,56 @@ class ResultStore:
         the stats); a hit bumps the record's mtime, which is what the LRU
         eviction policy orders by.
         """
-        path = self.path_for(key)
-        try:
-            with self._lock(shared=True):
-                text = path.read_text(encoding="utf-8")
-        except OSError:
-            self._misses.inc()
-            return None
-        try:
-            envelope = json.loads(text)
-        except ValueError:
-            self._misses.inc()
-            self._invalidations.inc()
-            return None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("schema_version") != SCHEMA_VERSION
-            or not isinstance(envelope.get("record"), dict)
-        ):
-            # Written by another schema generation (or not by us at all):
-            # invisible, and rewritten in place by the next put.
-            self._misses.inc()
-            self._invalidations.inc()
-            return None
-        try:
-            os.utime(path)  # LRU bookkeeping: this record was just used
-        except OSError:
-            pass
-        self._hits.inc()
-        return envelope["record"]
+        found = self._read(key, record=True)
+        return None if found is None else found[1]
+
+    def head(self, key: str) -> Optional[Dict[str, Any]]:
+        """The head stored with *key*'s record, or ``None`` on a miss.
+
+        Validates the file exactly as :meth:`get` does — a record line that
+        fails its checksum is a miss here too — but never parses the
+        record.  A hit bumps the mtime like a :meth:`get` hit.
+        """
+        found = self._read(key, record=False)
+        return None if found is None else found[0]
 
     def contains(self, key: str) -> bool:
         """Whether a *valid* record for *key* exists (without bumping LRU)."""
+        return self._read(key, record=False, use=False) is not None
+
+    def _read(
+        self, key: str, *, record: bool, use: bool = True
+    ) -> Optional[Tuple[Dict[str, Any], Optional[Dict[str, Any]]]]:
+        """The one validating read: ``(head, record)`` of *key*, or ``None``.
+
+        See :func:`_decode` for what makes a file valid; *record* also
+        parses line 2 (the daemon's detailed replies take head and record
+        from this one read).  With *use* (a :meth:`get` or :meth:`head`) the
+        lookup counts in the stats and a hit bumps the mtime; without it (a
+        :meth:`contains`) it does neither.
+        """
         path = self.path_for(key)
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return False
-        return (
-            isinstance(envelope, dict)
-            and envelope.get("schema_version") == SCHEMA_VERSION
-            and isinstance(envelope.get("record"), dict)
-        )
+            with self._lock(shared=True):
+                data = path.read_bytes()
+        except OSError:  # no such record, or no store directory at all
+            if use:
+                self._misses.inc()
+            return None
+        found = _decode(data, record=record)
+        if use:
+            if found is None:
+                # Written by another schema generation, damaged, or not by us
+                # at all: invisible, and rewritten in place by the next put.
+                self._misses.inc()
+                self._invalidations.inc()
+                return None
+            try:
+                os.utime(path)  # LRU bookkeeping: this record was just used
+            except OSError:
+                pass
+            self._hits.inc()
+        return found
 
     def keys(self) -> Iterator[str]:
         """The keys currently on disk (schema validity not checked)."""
@@ -303,22 +358,33 @@ class ResultStore:
 
     # -- write path ----------------------------------------------------------
 
-    def put(self, key: str, record: Dict[str, Any]) -> Path:
-        """Persist *record* under *key*; returns the file written.
+    def put(
+        self,
+        key: str,
+        record: Dict[str, Any],
+        *,
+        head: Optional[Dict[str, Any]] = None,
+    ) -> Path:
+        """Persist *record* under *key*, with *head* beside it; returns the file.
 
-        The write is atomic (temp file + ``os.replace``) and holds the
-        store's exclusive lock together with any eviction it triggers, so
-        concurrent writers interleave cleanly.
+        *head* is the small summary :meth:`head` returns without parsing the
+        record (``{}`` when omitted).  The write is atomic (temp file +
+        ``os.replace``) and holds the store's exclusive lock together with
+        any eviction it triggers, so concurrent writers interleave cleanly.
         """
         path = self.path_for(key)
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {"schema_version": SCHEMA_VERSION, "record": record, "stored_at": time.time()},
-            sort_keys=True,
-        )
+        record_line = json.dumps(record, sort_keys=True).encode("utf-8")
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "stored_at": time.time(),
+            "head": {} if head is None else head,
+            "record_sha256": hashlib.sha256(record_line).hexdigest(),
+        }
+        envelope_line = json.dumps(envelope, sort_keys=True).encode("utf-8")
         with self._lock():
             tmp = path.with_name(path.name + ".tmp")
-            tmp.write_text(payload, encoding="utf-8")
+            tmp.write_bytes(b"%s\n%s\n" % (envelope_line, record_line))
             os.replace(tmp, path)
             self._puts.inc()
             if self.budget_bytes is not None:
@@ -327,15 +393,17 @@ class ResultStore:
 
     def delete(self, key: str) -> bool:
         """Remove the record for *key*; ``True`` if one existed."""
-        with self._lock():
-            try:
+        try:
+            with self._lock():  # raises when there is no store directory
                 self.path_for(key).unlink()
-                return True
-            except OSError:
-                return False
+        except OSError:
+            return False
+        return True
 
     def clear(self) -> int:
         """Delete every record; returns the number of files removed."""
+        if not self.directory.is_dir():
+            return 0
         removed = 0
         with self._lock():
             for path, _ in self._entries():

@@ -9,7 +9,9 @@ coalescing, cancellation and timeouts deterministically.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import socket
 import threading
 import time
@@ -19,6 +21,7 @@ import pytest
 from _helpers import FailRunner, GateRunner, tiny_config
 from repro.experiments.engine import config_key, result_to_record
 from repro.experiments.setup import run_experiment
+from repro.metrics.collector import ExperimentMetrics
 from repro.service import ResultStore, ServiceError
 from repro.service import protocol
 
@@ -277,6 +280,43 @@ def test_run_and_wait_timeout_then_late_attach_succeeds(daemon, tiny_record):
         assert client.status()["executions"] == 1
 
 
+def test_client_reconnects_after_a_transport_timeout(daemon, tiny_record):
+    # A socket that timed out refuses every later read; the client must drop
+    # it, or every later request on the same client fails too.
+    runner = GateRunner(tiny_record)
+    handle = daemon(runner=runner, workers=1)
+    config = tiny_config(name="wedge")
+    with handle.client() as client:
+        with pytest.raises(OSError):
+            client.request(
+                "run_and_wait", transport_timeout=0.2, config=config.to_dict()
+            )
+        runner.gate.set()
+        assert client.status()["op"] == "status"
+
+
+def test_failed_store_write_keeps_the_finished_job(daemon, tiny_record, tmp_path, monkeypatch):
+    runner = GateRunner(tiny_record)
+    runner.gate.set()
+    store = ResultStore(tmp_path / "full-store")
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(store, "put", no_space)
+    handle = daemon(store=store, runner=runner)
+    config = tiny_config(name="disk-full")
+    with handle.client() as client:
+        # The simulation succeeded: the result is served from memory.
+        first = client.run_and_wait(config, timeout=30)
+        assert first["via"] == "spawned" and first["state"] == "done"
+        second = client.run_and_wait(config, timeout=30, response_format="detailed")
+        assert second["via"] == "session"
+        assert second["digest"] == first["digest"]
+        assert second["record"]["metrics"] == tiny_record["metrics"]
+        assert client.status()["executions"] == 1
+
+
 def test_failed_run_is_reported_and_resubmittable(daemon):
     handle = daemon(runner=FailRunner(), workers=1)
     config = tiny_config(name="doomed")
@@ -328,7 +368,7 @@ def test_batch_submits_and_deduplicates_in_one_round_trip(daemon, tiny_record):
 
 def test_get_reaches_store_records_without_a_job_entry(daemon, tiny_record):
     handle = daemon(runner=GateRunner(tiny_record))
-    handle.service.store.put("f" * 64, tiny_record)
+    handle.service.store.put("f" * 64, tiny_record, head=protocol.result_head(tiny_record))
     with handle.client() as client:
         response = client.get("f" * 64, response_format="detailed")
         assert response["source"] == "store"
@@ -339,6 +379,105 @@ def test_get_reaches_store_records_without_a_job_entry(daemon, tiny_record):
         # Lookup by config works too (key is derived daemon-side).
         with pytest.raises(ServiceError):
             client.get(config=tiny_config(name="never-submitted"))
+
+
+# -- store-served entries hold the head alone ---------------------------------
+
+
+def _store_result(store, config, record, *, head=True):
+    """Put *record* under *config*'s key, with its head unless told not to."""
+    key = config_key(config)
+    store.put(key, record, head=protocol.result_head(record) if head else None)
+    return key
+
+
+def test_concise_store_hit_keeps_no_record_and_detailed_replies_read_it(
+    daemon, tiny_record
+):
+    handle = daemon(runner=GateRunner(tiny_record))
+    config = tiny_config(name="head-hit")
+    record = dict(tiny_record, config=config.to_dict())
+    key = _store_result(handle.service.store, config, record)
+    with handle.client() as client:
+        concise = client.run_and_wait(config, timeout=30)
+        assert concise["via"] == "store"
+        assert concise["digest"] == protocol.metrics_digest(record)
+        entry = handle.service.jobs[key]
+        assert entry.record is None
+        assert entry.head == protocol.result_head(record)
+        got = client.get(key, response_format="detailed")
+        assert got["record"] == record and got["digest"] == concise["digest"]
+        waited = client.run_and_wait(config, timeout=30, response_format="detailed")
+        assert waited["via"] == "session" and waited["record"] == record
+        assert entry.record is None  # read for the replies, never kept
+        assert client.status()["executions"] == 0
+
+
+@pytest.mark.parametrize("op", ["get", "run_and_wait"])
+def test_detailed_reply_after_the_store_lost_the_record_is_not_found(
+    daemon, tiny_record, op
+):
+    runner = GateRunner(tiny_record)
+    runner.gate.set()
+    handle = daemon(runner=runner)
+    config = tiny_config(name="evicted")
+    key = _store_result(
+        handle.service.store, config, dict(tiny_record, config=config.to_dict())
+    )
+    with handle.client() as client:
+        assert client.run_and_wait(config, timeout=30)["via"] == "store"
+        assert handle.service.store.delete(key)
+        with pytest.raises(ServiceError) as excinfo:
+            if op == "get":
+                client.get(key, response_format="detailed")
+            else:
+                client.run_and_wait(config, timeout=30, response_format="detailed")
+        assert excinfo.value.code == "not_found"
+        assert key not in handle.service.jobs  # the entry was dropped
+        again = client.run_and_wait(config, timeout=30)
+        assert again["via"] == "spawned"
+        assert client.status()["executions"] == 1
+
+
+def test_store_served_replies_recompute_no_digest_or_summary(
+    daemon, tiny_record, monkeypatch
+):
+    handle = daemon(runner=GateRunner(tiny_record))
+    config = tiny_config(name="no-recompute")
+    record = dict(tiny_record, config=config.to_dict())
+    key = _store_result(handle.service.store, config, record)
+    other = _store_result(handle.service.store, tiny_config(name="never-submitted"), record)
+    digest = protocol.metrics_digest(record)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a store-served reply recomputed its digest or summary")
+
+    monkeypatch.setattr(protocol, "run_digest", forbidden)
+    monkeypatch.setattr(ExperimentMetrics, "from_dict", forbidden)
+    monkeypatch.setattr(ExperimentMetrics, "summary", forbidden)
+    with handle.client() as client:
+        for fmt in ("concise", "detailed"):
+            assert client.run_and_wait(config, timeout=30, response_format=fmt)["digest"] == digest
+            assert client.get(key, response_format=fmt)["digest"] == digest
+            assert client.get(other, response_format=fmt)["digest"] == digest
+        assert [job["digest"] for job in client.list(response_format="detailed")] == [digest]
+
+
+def test_record_stored_without_a_head_is_run_again_and_rewritten(daemon, tiny_record):
+    runner = GateRunner(tiny_record)
+    runner.gate.set()
+    handle = daemon(runner=runner)
+    config = tiny_config(name="headless")
+    record = dict(tiny_record, config=config.to_dict())
+    key = _store_result(handle.service.store, config, record, head=False)
+    with handle.client() as client:
+        with pytest.raises(ServiceError) as excinfo:
+            client.get(key)
+        assert excinfo.value.code == "not_found"
+        response = client.run_and_wait(config, timeout=30)
+        assert response["via"] == "spawned"
+        assert client.status()["executions"] == 1
+    assert handle.service.store.head(key) == protocol.result_head(record)
 
 
 # -- protocol robustness ------------------------------------------------------

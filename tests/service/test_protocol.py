@@ -7,6 +7,10 @@ import json
 
 import pytest
 
+from repro.experiments.engine import ResultCache, config_key, result_to_record
+from repro.experiments.scenarios import get_scenario
+from repro.experiments.setup import run_experiment
+from repro.metrics.collector import ExperimentMetrics
 from repro.service import protocol
 
 
@@ -55,7 +59,8 @@ def test_metrics_digest_is_canonical_sha256(tiny_record):
 
 
 def test_result_payload_concise_vs_detailed(tiny_record):
-    concise = protocol.result_payload(tiny_record, "concise")
+    head = protocol.result_head(tiny_record)
+    concise = protocol.result_payload(head, "concise")
     assert concise["digest"] == protocol.metrics_digest(tiny_record)
     assert concise["simulated_time"] == tiny_record["simulated_time"]
     assert concise["truncated"] is False
@@ -63,7 +68,59 @@ def test_result_payload_concise_vs_detailed(tiny_record):
     assert set(concise["metrics"]) <= set(protocol.CONCISE_METRIC_KEYS)
     assert concise["metrics"]["jobs"] == 2.0
 
-    detailed = protocol.result_payload(tiny_record, "detailed")
+    detailed = protocol.result_payload(head, "detailed", tiny_record)
     assert detailed["record"] == tiny_record  # the full cache wire format
     assert detailed["digest"] == concise["digest"]
     assert "metrics" not in detailed  # the record already carries everything
+
+
+# -- replies built from a stored head -----------------------------------------
+
+#: The scenarios whose 60-job records the daemon serves in the benchmark mix.
+HEAD_SCENARIOS = ("figure7", "figure8", "churn-replay", "trace-replay")
+
+
+def _payload_from_record(record, fmt):
+    """A reply built from the record alone: digest and summary recomputed."""
+    payload = {
+        "digest": protocol.metrics_digest(record),
+        "simulated_time": record.get("simulated_time"),
+        "truncated": record.get("truncated", False),
+    }
+    if fmt == "detailed":
+        payload["record"] = record
+        return payload
+    summary = ExperimentMetrics.from_dict(record["metrics"]).summary()
+    payload["metrics"] = {
+        key: summary[key] for key in protocol.CONCISE_METRIC_KEYS if key in summary
+    }
+    return payload
+
+
+@pytest.fixture(scope="module")
+def scenario_results():
+    """One genuine 60-job result of the first variant of each scenario."""
+    results = {}
+    for name in HEAD_SCENARIOS:
+        _, config = get_scenario(name).expand(job_count=60, seed=0)[0]
+        results[name] = run_experiment(config)
+    return results
+
+
+@pytest.mark.parametrize("scenario", HEAD_SCENARIOS)
+def test_replies_from_the_stored_head_match_replies_from_the_record(
+    tmp_path, scenario_results, scenario
+):
+    result = scenario_results[scenario]
+    cache = ResultCache(tmp_path / "store")
+    cache.store(result)
+    key = config_key(result.config)
+    head = cache.backend.head(key)
+    stored = cache.backend.get(key)
+    record = result_to_record(result)
+    assert protocol.encode(protocol.result_payload(head, "concise")) == protocol.encode(
+        _payload_from_record(record, "concise")
+    )
+    assert protocol.encode(
+        protocol.result_payload(head, "detailed", stored)
+    ) == protocol.encode(_payload_from_record(record, "detailed"))

@@ -72,10 +72,12 @@ def test_put_get_round_trip_and_stats(tmp_path):
     assert stats.entries == 1
     assert stats.total_bytes == path.stat().st_size
     assert stats.invalidations == 0
-    # The envelope on disk is versioned and wraps the record verbatim.
-    envelope = json.loads(path.read_text(encoding="utf-8"))
+    # The envelope on disk (line 1) is versioned, and the record follows it
+    # verbatim on line 2.
+    envelope_line, record_line = path.read_text(encoding="utf-8").splitlines()
+    envelope = json.loads(envelope_line)
     assert envelope["schema_version"] == SCHEMA_VERSION
-    assert envelope["record"] == RECORD
+    assert json.loads(record_line) == RECORD
     assert "stored_at" in envelope
 
 
@@ -126,6 +128,91 @@ def test_corrupt_json_is_a_miss_not_an_error(tmp_path):
     assert store.stats().invalidations == 1
     store.put("k1", RECORD)
     assert store.get("k1") == RECORD
+
+
+# -- the head line ------------------------------------------------------------
+
+HEAD = {"digest": "d" * 64, "simulated_time": 2.0, "truncated": False, "metrics": {"jobs": 1.0}}
+
+
+def test_head_and_record_round_trip(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    store.put("k1", RECORD, head=HEAD)
+    assert store.head("k1") == HEAD
+    assert store.get("k1") == RECORD
+    assert store.contains("k1")
+    store.put("k2", RECORD)  # a writer without a head stores an empty one
+    assert store.head("k2") == {}
+    assert store.get("k2") == RECORD
+    assert (store.hits, store.misses, store.invalidations) == (4, 0, 0)
+
+
+def test_valid_json_damage_to_the_record_line_is_a_miss(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    path = store.put("k1", RECORD)
+    text = path.read_text(encoding="utf-8")
+    assert text.count('"x": 1') == 1
+    # A flipped digit leaves valid JSON behind; only the checksum sees it.
+    path.write_text(text.replace('"x": 1', '"x": 7'), encoding="utf-8")
+    assert store.get("k1") is None
+    assert store.head("k1") is None
+    assert not store.contains("k1")
+    assert store.stats().invalidations == 2
+
+
+def _cut_record_line(data: bytes) -> bytes:
+    envelope_line, record_line, _ = data.split(b"\n")
+    return b"%s\n%s\n" % (envelope_line, record_line[: len(record_line) // 2])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(_cut_record_line, id="truncated-record-line"),
+        pytest.param(lambda data: data.replace(b"\n", b" "), id="no-newline"),
+        pytest.param(
+            lambda data: data.replace(
+                b'"schema_version": %d' % SCHEMA_VERSION,
+                b'"schema_version": %d' % (SCHEMA_VERSION - 1),
+            ),
+            id="wrong-schema",
+        ),
+    ],
+)
+def test_damaged_files_are_misses_for_every_read(tmp_path, damage):
+    store = ResultStore(tmp_path / "store")
+    path = store.put("k1", RECORD, head=HEAD)
+    damaged = damage(path.read_bytes())
+    assert damaged != path.read_bytes()
+    path.write_bytes(damaged)
+    assert store.get("k1") is None
+    assert store.head("k1") is None
+    assert not store.contains("k1")
+    assert store.stats().invalidations == 2
+    store.put("k1", RECORD, head=HEAD)
+    assert store.head("k1") == HEAD
+
+
+def test_head_hit_bumps_the_mtime_and_contains_does_not(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    path = store.put("k1", RECORD, head=HEAD)
+    _age(store, "k1", 300)
+    aged = path.stat().st_mtime
+    assert store.contains("k1")
+    assert path.stat().st_mtime == aged
+    assert store.head("k1") == HEAD
+    assert path.stat().st_mtime > aged
+
+
+@pytest.mark.parametrize(
+    ("call", "expected"),
+    [("get", None), ("head", None), ("contains", False), ("delete", False), ("clear", 0)],
+)
+def test_calls_on_a_missing_directory_create_nothing(tmp_path, call, expected):
+    store = ResultStore(tmp_path / "absent" / "store")
+    method = getattr(store, call)
+    assert (method() if call == "clear" else method("k1")) == expected
+    assert not (tmp_path / "absent").exists()
 
 
 # -- LRU eviction -------------------------------------------------------------
@@ -247,9 +334,12 @@ def test_cache_schema_invalidation_forces_rerun_and_rewrite(tmp_path):
     assert cache.backend.contains(key)
 
     # An old-generation record is invisible: load misses, the sweep reruns.
-    envelope = json.loads(cache.path_for(config).read_text(encoding="utf-8"))
+    envelope_line, record_line = cache.path_for(config).read_text(encoding="utf-8").splitlines()
+    envelope = json.loads(envelope_line)
     envelope["schema_version"] = SCHEMA_VERSION - 1
-    cache.path_for(config).write_text(json.dumps(envelope), encoding="utf-8")
+    cache.path_for(config).write_text(
+        f"{json.dumps(envelope)}\n{record_line}\n", encoding="utf-8"
+    )
     assert cache.load(config) is None
     (again,) = run_configs([config], cache=cache)
     assert cache.backend.contains(key)  # rewritten under the current schema

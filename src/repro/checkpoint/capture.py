@@ -90,8 +90,8 @@ def native_unsupported_reason(config, workload=None) -> Optional[str]:
     with the real one.  The envelope is deliberately
     conservative: every feature listed here either keeps long-lived processes
     whose generator frames cannot be serialised (malleable applications,
-    fault injectors, background generators) or draws from a random stream in
-    ways the rebuilt run would not repeat bit-exactly (GRAM latency jitter).
+    fault injectors) or draws from a random stream in ways the rebuilt run
+    would not repeat bit-exactly (GRAM latency jitter, background load).
     Replay-mode capture covers all of them.
     """
     if config.malleability_policy is not None:
@@ -109,7 +109,7 @@ def native_unsupported_reason(config, workload=None) -> Optional[str]:
         config.background_fraction
     )
     if resolved_background:
-        return "background load keeps per-cluster generator processes"
+        return "background load draws from per-cluster random streams per local job"
     base_policy = str(config.placement_policy).split("?", 1)[0].upper()
     if base_policy not in NATIVE_PLACEMENT_POLICIES:
         return (

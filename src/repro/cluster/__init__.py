@@ -9,7 +9,7 @@ manager, bypassing the KOALA grid scheduler entirely.
 This package simulates that substrate:
 
 * :class:`~repro.cluster.cluster.Cluster` — a pool of nodes with atomic
-  allocate/release and a usage time series;
+  allocate/release and a usage log behind its usage time series;
 * :class:`~repro.cluster.local_rm.LocalResourceManager` — the SGE-like
   space-shared FCFS manager through which *local* (background) jobs arrive;
 * :class:`~repro.cluster.gram.GramEndpoint` — the job-submission interface

@@ -53,7 +53,7 @@ class Allocation:
     kind: str = "grid"
     granted_at: float = 0.0
     released_at: Optional[float] = None
-    allocation_id: int = field(default_factory=lambda: next(_allocation_ids))
+    allocation_id: int = field(default_factory=_allocation_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.processors < 1:

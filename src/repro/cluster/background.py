@@ -11,6 +11,15 @@ stream of rigid jobs submitted straight to a cluster's local resource
 manager.  The paper's main experiments keep background load to the incidental
 activity of concurrent users; the ablation benchmarks crank it up to study
 resilience.
+
+The generator creates no simulation process.  It is a callback chain whose
+links sit at the heap positions of the former generator process's events:
+construction schedules an URGENT relay (the process's ``Initialize``), whose
+callback pushes the ``start_time`` timeout or draws the first gap; each gap
+timeout's callback checks ``end_time``, draws the job's processors and
+duration, submits it, and draws the next gap and pushes its timeout.  So the
+stream makes the same draws and the same pushes as the process did, in the
+same order, without a process resume per local job.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import numpy as np
 
 from repro.cluster.local_rm import LocalJob, LocalResourceManager
 from repro.sim.core import Environment
+from repro.sim.events import URGENT, Event
 
 
 @dataclass(frozen=True)
@@ -87,20 +97,28 @@ class BackgroundLoadGenerator:
         #: All local jobs generated so far.
         self.jobs: List[LocalJob] = []
         if spec.enabled:
-            env.process(self._generate())
+            env.relay(self._start, URGENT)
 
-    def _generate(self):
-        spec = self.spec
-        if spec.start_time > 0:
-            yield self.env.timeout(spec.start_time)
-        while spec.end_time is None or self.env.now < spec.end_time:
-            gap = float(self.rng.exponential(spec.mean_interarrival))
-            yield self.env.timeout(gap)
-            if spec.end_time is not None and self.env.now >= spec.end_time:
-                break
-            job = self._draw_job()
-            self.jobs.append(job)
-            self.local_rm.submit(job)
+    def _start(self, _event: Event) -> None:
+        if self.spec.start_time > 0:
+            self.env.timeout(self.spec.start_time).callbacks.append(self._next_gap)
+        else:
+            self._next_gap()
+
+    def _next_gap(self, _event: Optional[Event] = None) -> None:
+        end_time = self.spec.end_time
+        if end_time is None or self.env._now < end_time:
+            gap = float(self.rng.exponential(self.spec.mean_interarrival))
+            self.env.timeout(gap).callbacks.append(self._arrive)
+
+    def _arrive(self, _event: Event) -> None:
+        end_time = self.spec.end_time
+        if end_time is not None and self.env._now >= end_time:
+            return
+        job = self._draw_job()
+        self.jobs.append(job)
+        self.local_rm.submit(job)
+        self._next_gap()
 
     def _draw_job(self) -> LocalJob:
         processors = int(self.rng.integers(self.spec.min_processors, self.spec.max_processors + 1))

@@ -5,11 +5,19 @@ node"), so a cluster is modelled as a counted pool rather than as individual
 node objects.  The cluster keeps separate grid/local usage counters so the
 KOALA information service can report idle processors, and the metrics layer
 can attribute utilization to KOALA-managed jobs versus background load.
+
+Every allocate and release appends one ``(time, grid, local)`` entry to the
+cluster's usage log; a second change in the same instant overwrites the
+instant's entry, so the log holds the last counters of each instant.  The
+three usage step functions (total, grid and local) are built from the log
+when they are read, which only the metrics collector and
+:meth:`Multicluster.utilization_series
+<repro.cluster.multicluster.Multicluster.utilization_series>` do.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.allocation import Allocation, AllocationError
 from repro.sim.core import Environment
@@ -54,24 +62,22 @@ class Cluster:
         self._used_local = 0
         self._failed = 0
         self._allocations: Dict[int, Allocation] = {}
-        #: Step function of the total number of busy processors.
-        self.usage_series = TimeSeries(name=f"{name}:usage")
+        #: ``(time, grid, local)`` after the last usage change of each
+        #: instant with one (see the module doc).
+        self._usage_log: List[Tuple[float, int, int]] = []
         #: Step function of the number of *available* (non-failed) processors.
         #: Flat at ``total_processors`` unless a fault model drives the
         #: cluster through :meth:`mark_failed` / :meth:`mark_repaired`.
         self.availability_series = TimeSeries(name=f"{name}:availability")
-        #: Step function of processors busy on behalf of KOALA-managed jobs.
-        self.grid_usage_series = TimeSeries(name=f"{name}:grid-usage")
-        #: Step function of processors busy on behalf of local background jobs.
-        self.local_usage_series = TimeSeries(name=f"{name}:local-usage")
         #: Events to trigger next time processors are released (used by the
         #: local resource manager and the malleability manager to react to
         #: freed capacity without polling).
         self._release_waiters: List[Event] = []
         #: Persistent callbacks invoked on *every* release with
         #: ``(allocation)``; used by the malleability manager to account for
-        #: the processors that become available over time.
-        self._release_listeners: List = []
+        #: the processors that become available over time.  A tuple, rebuilt
+        #: by :meth:`add_release_listener`, so a release iterates it uncopied.
+        self._release_listeners: Tuple = ()
         #: Bound struct-of-arrays mirror (see :meth:`bind_state`); ``None``
         #: for standalone clusters outside a multicluster.
         self._state = None
@@ -144,6 +150,28 @@ class Cluster:
         return self.used_processors / self._total
 
     @property
+    def usage_series(self) -> TimeSeries:
+        """Step function of the total number of busy processors."""
+        return self._usage_series("usage", [grid + local for _, grid, local in self._usage_log])
+
+    @property
+    def grid_usage_series(self) -> TimeSeries:
+        """Step function of processors busy on behalf of KOALA-managed jobs."""
+        return self._usage_series("grid-usage", [grid for _, grid, _ in self._usage_log])
+
+    @property
+    def local_usage_series(self) -> TimeSeries:
+        """Step function of processors busy on behalf of local background jobs."""
+        return self._usage_series("local-usage", [local for _, _, local in self._usage_log])
+
+    def _usage_series(self, kind: str, values: List[int]) -> TimeSeries:
+        return TimeSeries(
+            f"{self.name}:{kind}",
+            [float(time) for time, _, _ in self._usage_log],
+            [float(value) for value in values],
+        )
+
+    @property
     def active_allocations(self) -> List[Allocation]:
         """Allocations currently held, oldest first.
 
@@ -159,14 +187,16 @@ class Cluster:
         """Atomically allocate *processors* nodes, or return ``None`` if unavailable."""
         if processors < 1:
             raise AllocationError("cannot allocate fewer than one processor")
-        if processors > self.idle_processors:
+        # ``idle_processors`` inlined; its zero clamp cannot change the
+        # outcome for a request of at least one processor.
+        if processors > self._total - self._failed - self._used_grid - self._used_local:
             return None
         allocation = Allocation(
             cluster=self,
             processors=int(processors),
             owner=owner,
             kind=kind,
-            granted_at=self.env.now,
+            granted_at=self.env._now,
         )
         if kind == "grid":
             self._used_grid += processors
@@ -201,7 +231,7 @@ class Cluster:
         if self._state is not None:
             self._state.update_usage(self._state_index, self._used_grid, self._used_local)
         self._record_usage()
-        for listener in list(self._release_listeners):
+        for listener in self._release_listeners:
             listener(allocation)
         self._notify_release()
 
@@ -213,7 +243,7 @@ class Cluster:
 
     def add_release_listener(self, callback) -> None:
         """Invoke ``callback(allocation)`` every time an allocation is released."""
-        self._release_listeners.append(callback)
+        self._release_listeners += (callback,)
 
     # -- dynamic availability (fault injection) -------------------------------
 
@@ -268,28 +298,12 @@ class Cluster:
                 event.succeed(self.idle_processors)
 
     def _record_usage(self) -> None:
-        # Inlined ``TimeSeries.record`` (×3): every allocate/release lands
-        # here, and the step functions share one timestamp, so the in-order
-        # and same-instant checks are done once instead of per series.
         now = self.env._now
-        grid = self._used_grid
-        local = self._used_local
-        series = self.usage_series
-        times = series.times
-        if times and times[-1] == now:
-            series.values[-1] = float(grid + local)
-            self.grid_usage_series.values[-1] = float(grid)
-            self.local_usage_series.values[-1] = float(local)
-            return
-        now = float(now)
-        times.append(now)
-        series.values.append(float(grid + local))
-        series = self.grid_usage_series
-        series.times.append(now)
-        series.values.append(float(grid))
-        series = self.local_usage_series
-        series.times.append(now)
-        series.values.append(float(local))
+        log = self._usage_log
+        if log and log[-1][0] == now:
+            log[-1] = (now, self._used_grid, self._used_local)
+        else:
+            log.append((now, self._used_grid, self._used_local))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         failed = f", failed={self._failed}" if self._failed else ""

@@ -29,6 +29,15 @@ latency and starts the latency timeout; the timeout's callback frees the slot
 with a NORMAL *free* relay (the slot's ``Release`` event, whose firing grants
 the queue head), then allocates and settles the submission.  Without a
 gatekeeper the arrival relay draws the latency itself.
+
+A jittered latency is ``latency * (1 + u)`` with ``u`` uniform on
+``[-jitter, jitter)``.  ``u`` is drawn as ``Generator.uniform(-jitter,
+jitter)`` would draw it, ``low + (high - low) * random()``, without the cost
+of the numpy call: each draw takes one double from the cluster's stream, so
+the values and the stream position after every draw are numpy's.  The
+endpoint draws one value per latency and never a block ahead: a pre-drawn
+block would run the stream's state past what the simulation consumed, so a
+capture of ``bit_generator.state`` would have to carry the unused rest.
 """
 
 from __future__ import annotations
@@ -72,7 +81,7 @@ class GramJob:
 
     owner: str
     processors: int
-    gram_id: int = field(default_factory=lambda: next(_gram_job_ids))
+    gram_id: int = field(default_factory=_gram_job_ids.__next__)
     submitted_at: Optional[float] = None
     active_at: Optional[float] = None
     released_at: Optional[float] = None
@@ -154,7 +163,10 @@ class GramEndpoint:
     def _jittered(self, latency: float) -> float:
         if self._rng is None or self.latency_jitter == 0.0 or latency == 0.0:
             return latency
-        factor = 1.0 + self._rng.uniform(-self.latency_jitter, self.latency_jitter)
+        # ``uniform(low, high)`` as numpy computes it (see the module doc).
+        high = self.latency_jitter
+        low = -high
+        factor = 1.0 + (low + (high - low) * self._rng.random())
         return max(0.0, latency * factor)
 
     # -- submission --------------------------------------------------------

@@ -57,7 +57,7 @@ class LocalJob:
     processors: int
     duration: float
     name: str = ""
-    job_id: int = field(default_factory=lambda: next(_local_job_ids))
+    job_id: int = field(default_factory=_local_job_ids.__next__)
     submit_time: Optional[float] = None
     start_time: Optional[float] = None
     finish_time: Optional[float] = None

@@ -1,19 +1,17 @@
 """Struct-of-arrays hot state of a multicluster.
 
-Profiling (see ``repro-bench --profile``) shows the kernel spends most of a
-run answering one question over and over: *how many processors are idle per
-cluster, minus the pending claims?*  Every KIS poll, every placement and
-every grow decision rebuilt that answer as a fresh dict comprehension over
-cluster objects — thousands of times per simulated hour.
-
-:class:`ClusterState` inverts that: the per-cluster capacity counters live in
-numpy columns (**struct of arrays**), updated incrementally at the four
-mutation points of a cluster (allocate, release, fail, repair) plus the claim
-ledger's reserve/settle/adjust.  The derived quantities every hot reader
-wants — the idle view and the claim-adjusted *effective* idle view — are
-maintained in place at the same time, so reads are plain attribute access
-with no per-read rebuild, and the Worst-Fit processor selection is a
-vectorized argmax over the effective column.
+Every KIS poll, every placement and every grow decision asks the same
+question: *how many processors are idle per cluster, minus the pending
+claims?*  :class:`ClusterState` keeps the answer current instead of
+rebuilding it per read: the per-cluster capacity counters live in plain
+``int`` columns (**struct of arrays**), updated incrementally at the four
+mutation points of a cluster (allocate, release, fail, repair) plus the
+claim ledger's reserve/settle/adjust.  The derived quantities every hot
+reader wants — the idle view and the claim-adjusted *effective* idle view —
+are maintained in place at the same time, so reads are plain attribute
+access, and the Worst-Fit processor selection is one loop over the
+effective column.  The columns hold one entry per cluster (five on DAS-3),
+where a Python loop over ints is cheaper than any array call.
 
 Invariants
 ----------
@@ -37,42 +35,32 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 
 class ClusterState:
     """Incrementally maintained per-cluster capacity columns.
 
-    Columns are ``int64`` numpy arrays indexed by cluster registration
-    order; :meth:`register` returns the index a cluster (or the claim
-    ledger) uses for its updates.
+    Columns are lists of ints indexed by cluster registration order;
+    :meth:`register` returns the index a cluster (or the claim ledger) uses
+    for its updates.
     """
 
     def __init__(self) -> None:
         self.names: List[str] = []
         self._index: Dict[str, int] = {}
-        self.total = np.zeros(0, dtype=np.int64)
-        self.failed = np.zeros(0, dtype=np.int64)
-        self.used_grid = np.zeros(0, dtype=np.int64)
-        self.used_local = np.zeros(0, dtype=np.int64)
-        self.pending = np.zeros(0, dtype=np.int64)
+        self.total: List[int] = []
+        self.failed: List[int] = []
+        self.used_grid: List[int] = []
+        self.used_local: List[int] = []
+        self.pending: List[int] = []
         #: Derived column: idle (clamped at zero) processors per cluster.
-        self.idle = np.zeros(0, dtype=np.int64)
+        self.idle: List[int] = []
         #: Derived column: idle minus pending claims (clamped at zero).
-        self.effective = np.zeros(0, dtype=np.int64)
+        self.effective: List[int] = []
         #: Shared read-only dict views of the derived columns (see module doc).
         self._idle_view: Dict[str, int] = {}
         self._effective_view: Dict[str, int] = {}
         #: Cluster indices in name order — the Worst-Fit tie-break order.
-        self._name_order = np.zeros(0, dtype=np.int64)
-        #: Plain-int shadows of the input columns.  Mutations do their
-        #: arithmetic here (reading an ``int64`` cell materialises a numpy
-        #: scalar, which costs more than the subtraction it feeds) and write
-        #: the numpy cells afterwards, so the columns stay current for
-        #: vectorized readers without ever being read back per mutation.
-        self._total_i: List[int] = []
-        self._failed_i: List[int] = []
-        self._pending_i: List[int] = []
+        self._name_order: List[int] = []
 
     # -- registration ---------------------------------------------------------
 
@@ -83,17 +71,11 @@ class ClusterState:
         index = len(self.names)
         self.names.append(name)
         self._index[name] = index
-        for column in ("total", "failed", "used_grid", "used_local",
-                       "pending", "idle", "effective"):
-            setattr(self, column, np.append(getattr(self, column), 0))
-        self.total[index] = int(total_processors)
-        self._total_i.append(int(total_processors))
-        self._failed_i.append(0)
-        self._pending_i.append(0)
-        self._name_order = np.array(
-            sorted(range(len(self.names)), key=self.names.__getitem__),
-            dtype=np.int64,
-        )
+        self.total.append(int(total_processors))
+        for column in (self.failed, self.used_grid, self.used_local,
+                       self.pending, self.idle, self.effective):
+            column.append(0)
+        self._name_order = sorted(range(len(self.names)), key=self.names.__getitem__)
         self.update_usage(index, 0, 0)
         return index
 
@@ -110,10 +92,10 @@ class ClusterState:
         """A cluster's allocation counters changed (allocate/release)."""
         self.used_grid[index] = used_grid
         self.used_local[index] = used_local
-        idle = self._total_i[index] - self._failed_i[index] - used_grid - used_local
+        idle = self.total[index] - self.failed[index] - used_grid - used_local
         if idle < 0:
             idle = 0
-        effective = idle - self._pending_i[index]
+        effective = idle - self.pending[index]
         if effective < 0:
             effective = 0
         self.idle[index] = idle
@@ -125,31 +107,13 @@ class ClusterState:
     def update_failed(self, index: int, failed: int) -> None:
         """A cluster's failed-processor count changed (fault/repair)."""
         self.failed[index] = failed
-        self._failed_i[index] = failed
-        idle = (
-            self._total_i[index]
-            - failed
-            - int(self.used_grid[index])
-            - int(self.used_local[index])
-        )
-        if idle < 0:
-            idle = 0
-        effective = idle - self._pending_i[index]
-        if effective < 0:
-            effective = 0
-        self.idle[index] = idle
-        self.effective[index] = effective
-        name = self.names[index]
-        self._idle_view[name] = idle
-        self._effective_view[name] = effective
+        self.update_usage(index, self.used_grid[index], self.used_local[index])
 
     def update_pending(self, name: str, pending: int) -> None:
         """The claim ledger's pending total for *name* changed."""
         index = self._index[name]
         self.pending[index] = pending
-        self._pending_i[index] = pending
-        idle = self._idle_view[name]
-        effective = idle - pending
+        effective = self.idle[index] - pending
         if effective < 0:
             effective = 0
         self.effective[index] = effective
@@ -175,25 +139,32 @@ class ClusterState:
 
     def total_idle(self) -> int:
         """System-wide idle processors."""
-        return int(self.idle.sum())
+        return sum(self.idle)
 
-    # -- vectorized selections -------------------------------------------------
+    # -- selections -----------------------------------------------------------
 
     def select_worst_fit(self, processors: int) -> Optional[str]:
         """Cluster with the most effective-idle processors that fits *processors*.
 
-        Ties break towards the lexicographically smallest name — identical to
-        sorting candidates by ``(-idle, name)`` and taking the first, which
-        is what :class:`repro.koala.placement.WorstFit` historically did.
-        Returns ``None`` when no cluster fits.
+        Walks the clusters in name order and keeps the first strict maximum,
+        so ties break towards the lexicographically smallest name — identical
+        to sorting candidates by ``(-idle, name)`` and taking the first,
+        which is what :class:`repro.koala.placement.WorstFit` does on its
+        general path.  Returns ``None`` when no cluster fits (or there is no
+        cluster).
         """
-        order = self._name_order
-        effective = self.effective[order]
-        best = int(np.argmax(effective))
-        if effective[best] < processors:
+        effective = self.effective
+        best = -1
+        most = -1
+        for index in self._name_order:
+            idle = effective[index]
+            if idle > most:
+                most = idle
+                best = index
+        if most < processors:
             return None
-        return self.names[int(order[best])]
+        return self.names[best]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        busy = int(self.used_grid.sum() + self.used_local.sum())
+        busy = sum(self.used_grid) + sum(self.used_local)
         return f"<ClusterState {len(self)} clusters, {busy} busy, {self.total_idle()} idle>"

@@ -122,8 +122,8 @@ class WorstFit(PlacementPolicy):
         components = job.components
         if len(components) == 1:
             # Single-component jobs (all of the paper's workloads) on the
-            # live effective-idle view: a vectorized argmax over the
-            # struct-of-arrays state, with the same (-idle, name) tie-break.
+            # live effective-idle view: one pass over the struct-of-arrays
+            # state, with the same (-idle, name) tie-break.
             state = getattr(multicluster, "state", None)
             if state is not None and idle_processors is state.effective_view():
                 component = components[0]

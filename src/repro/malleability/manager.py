@@ -149,11 +149,13 @@ class MalleabilityManager:
 
     def grow_cluster(self, cluster_name: str) -> List[GrowDirective]:
         """Plan and execute grow operations on one cluster."""
-        runners = self.scheduler.running_malleable_runners(cluster_name)
-        if not runners:
-            return []
+        # Both reads are pure; the grow value, usually zero between releases,
+        # is the cheaper one to rule the round out.
         grow_value = self.grow_value_for(cluster_name)
         if grow_value <= 0:
+            return []
+        runners = self.scheduler.running_malleable_runners(cluster_name)
+        if not runners:
             return []
         directives = self.policy.plan_grow(runners, grow_value)
         # The whole account was offered in this trigger; whatever the jobs

@@ -91,8 +91,12 @@ class ServiceClient:
             sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         else:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(str(self.socket_path))
+            try:
+                sock.settimeout(self.timeout)
+                sock.connect(str(self.socket_path))
+            except BaseException:
+                sock.close()
+                raise
         self._sock = sock
         self._reader = sock.makefile("rb")
         return self

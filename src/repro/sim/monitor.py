@@ -28,9 +28,9 @@ class TimeSeries:
     ``record(t, v)`` appends an observation meaning "from time *t* onwards the
     value is *v* (until the next observation)".
 
-    ``record`` sits on the accumulation fast path (three series per cluster
-    are updated on every allocate/release), so the class is slotted and the
-    method touches each list once.
+    ``record`` sits on the accumulation fast path (every application's
+    allocation series is updated on every resize), so the class is slotted
+    and the method touches each list once.
     """
 
     __slots__ = ("name", "times", "values")

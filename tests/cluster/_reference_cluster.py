@@ -1,15 +1,16 @@
-"""The GRAM endpoint and local resource manager as processes: a reference.
+"""The GRAM endpoint, local resource manager and background load as processes.
 
-These are the process-based :class:`GramEndpoint` and
-:class:`LocalResourceManager` the cluster layer shipped before it became
-process-free: each GRAM submission a process behind a ``Resource``
-gatekeeper, the local dispatcher a process re-arming a ``wakeup | released``
-condition, each local job a process.  The class bodies are kept unchanged;
-only the imports differ.  ``test_reference_equivalence`` runs small systems
-dense in same-instant ties with these classes patched into
-:mod:`repro.cluster.multicluster` and as shipped, and requires identical
-outcomes, so any later change to the event structure of either class is
-checked against this drain order.
+These are the process-based :class:`GramEndpoint`,
+:class:`LocalResourceManager` and :class:`BackgroundLoadGenerator` the
+cluster layer shipped before it became process-free: each GRAM submission a
+process behind a ``Resource`` gatekeeper, the local dispatcher a process
+re-arming a ``wakeup | released`` condition, each local job a process, and
+each cluster's background load a generator process.  The class bodies are
+kept unchanged; only the imports differ.  ``test_reference_equivalence``
+runs small systems dense in same-instant ties with these classes patched
+into :mod:`repro.cluster.multicluster` and as shipped, and requires
+identical outcomes, so any later change to the event structure of any of
+them is checked against this drain order.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Deque, Dict, List, Optional
 import numpy as np
 
 from repro.cluster.allocation import Allocation
+from repro.cluster.background import BackgroundLoadSpec
 from repro.cluster.cluster import Cluster
 from repro.cluster.gram import GramJob, GramSubmissionError
 from repro.cluster.local_rm import LocalJob
@@ -302,3 +304,50 @@ class LocalResourceManager:
         done = self._completion_events.pop(job.job_id, None)
         if done is not None and not done.triggered:
             done.succeed(job)
+
+
+class BackgroundLoadGenerator:
+    """A stream of rigid local jobs submitted directly to one cluster's LRM."""
+
+    def __init__(
+        self,
+        env: Environment,
+        local_rm: LocalResourceManager,
+        spec: BackgroundLoadSpec,
+        rng: np.random.Generator,
+        *,
+        name: str = "",
+    ) -> None:
+        self.env = env
+        self.local_rm = local_rm
+        self.spec = spec
+        self.rng = rng
+        self.name = name or f"background@{local_rm.cluster.name}"
+        #: All local jobs generated so far.
+        self.jobs: List[LocalJob] = []
+        if spec.enabled:
+            env.process(self._generate())
+
+    def _generate(self):
+        spec = self.spec
+        if spec.start_time > 0:
+            yield self.env.timeout(spec.start_time)
+        while spec.end_time is None or self.env.now < spec.end_time:
+            gap = float(self.rng.exponential(spec.mean_interarrival))
+            yield self.env.timeout(gap)
+            if spec.end_time is not None and self.env.now >= spec.end_time:
+                break
+            job = self._draw_job()
+            self.jobs.append(job)
+            self.local_rm.submit(job)
+
+    def _draw_job(self) -> LocalJob:
+        processors = int(self.rng.integers(self.spec.min_processors, self.spec.max_processors + 1))
+        duration = float(self.rng.exponential(self.spec.mean_duration))
+        duration = max(1.0, duration)
+        return LocalJob(processors=processors, duration=duration, name=f"{self.name}-{len(self.jobs) + 1}")
+
+    @property
+    def submitted_count(self) -> int:
+        """Number of background jobs submitted so far."""
+        return len(self.jobs)

@@ -86,6 +86,42 @@ def test_usage_series_records_changes_over_time(env):
     assert cluster.grid_usage_series.value_at(15) == 0
 
 
+def usage_steps(cluster):
+    return [
+        (series.name, series.times, series.values)
+        for series in (cluster.usage_series, cluster.grid_usage_series, cluster.local_usage_series)
+    ]
+
+
+def test_usage_series_keep_the_last_change_of_each_instant(env):
+    """A job that allocates and releases within one instant leaves only the
+    instant's last counters; changes in different instants each leave one
+    step, as float times and values."""
+    cluster = Cluster(env, "c", 10)
+
+    def workload(env):
+        flash = cluster.allocate(3, owner="flash")
+        local = cluster.allocate(2, owner="bg", kind="local")
+        flash.release()
+        yield env.timeout(5)
+        grid = cluster.allocate(4, owner="j1")
+        local.release()
+        yield env.timeout(3)
+        grid.release()
+        yield env.timeout(2)
+        cluster.release(cluster.allocate(1, owner="blip"))
+
+    env.process(workload(env))
+    env.run()
+    times = [0.0, 5.0, 8.0, 10.0]
+    assert usage_steps(cluster) == [
+        ("c:usage", times, [2.0, 4.0, 0.0, 0.0]),
+        ("c:grid-usage", times, [0.0, 4.0, 0.0, 0.0]),
+        ("c:local-usage", times, [2.0, 0.0, 0.0, 0.0]),
+    ]
+    assert all(type(t) is float for t in cluster.usage_series.times)
+
+
 def test_when_released_event_fires_on_next_release(env):
     cluster = Cluster(env, "c", 10)
     allocation = cluster.allocate(3, owner="j1")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster, GramEndpoint, GramSubmissionError
@@ -114,6 +115,20 @@ def test_latency_jitter_stays_within_bounds():
     env.run()
     assert all(8.0 <= t <= 12.0 for t in times)
     assert len(set(times)) > 1  # jitter actually varies
+
+
+@pytest.mark.parametrize("jitter", [0.05, 0.2, 0.5, 0.999])
+def test_jitter_draws_what_numpy_uniform_draws(jitter):
+    """Each jittered latency equals ``latency * (1 + uniform(-j, j))`` drawn
+    from an identical stream, and the stream ends in the same state."""
+    env = Environment()
+    _, endpoint = build(env, rng=np.random.default_rng(17))
+    endpoint.latency_jitter = jitter
+    reference = np.random.default_rng(17)
+    for latency in (5.0, 0.5) * 1500:
+        expected = max(0.0, latency * (1.0 + reference.uniform(-jitter, jitter)))
+        assert endpoint._jittered(latency) == expected
+    assert endpoint._rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_submission_validation(env):

@@ -111,6 +111,34 @@ def test_aggregate_idle_and_utilization_series(env, streams):
         system.utilization_series("bogus")
 
 
+def test_utilization_series_sum_each_instants_last_usage(env, streams):
+    system = Multicluster(env, streams=streams)
+    a = system.add_cluster("a", 10)
+    b = system.add_cluster("b", 10)
+
+    def workload(env):
+        a.release(a.allocate(5, owner="flash"))  # allocated and released in one instant
+        held = a.allocate(3, owner="j1")
+        yield env.timeout(4)
+        local = b.allocate(6, owner="bg", kind="local")
+        yield env.timeout(2)
+        held.release()
+        local.release()
+        b.allocate(2, owner="j2")
+
+    env.process(workload(env))
+    env.run()
+    expected = {
+        "all": [3.0, 9.0, 2.0],
+        "grid": [3.0, 3.0, 2.0],
+        "local": [0.0, 6.0, 0.0],
+    }
+    for kind, values in expected.items():
+        times, summed = system.utilization_series(kind)
+        assert times.tolist() == [0.0, 4.0, 6.0]
+        assert summed.tolist() == values
+
+
 # ---------------------------------------------------------------------------
 # DAS-3 preset (Table I)
 # ---------------------------------------------------------------------------
@@ -138,3 +166,26 @@ def test_das3_with_background_load():
     assert system.background("delft") is not None
     assert system.background("vu") is None
     assert system.background("delft").submitted_count > 0
+
+
+def test_the_cluster_layer_runs_no_process(monkeypatch):
+    """Background load, local jobs and jittered GRAM submissions behind a
+    gatekeeper all run as callback chains."""
+
+    def no_process(self, generator):
+        raise AssertionError(f"the cluster layer started a process: {generator!r}")
+
+    monkeypatch.setattr(Environment, "process", no_process)
+    env = Environment()
+    system = das3_multicluster(
+        env,
+        streams=RandomStreams(2),
+        background={"delft": BackgroundLoadSpec(mean_interarrival=60.0, mean_duration=300.0)},
+        gram_concurrency=1,
+    )
+    for index in range(3):
+        system.gram("vu").submit(f"grid-{index}")
+    env.run(until=4000)
+    assert system.background("delft").submitted_count > 0
+    assert system.local_rm("delft").finished_jobs
+    assert system.cluster("vu").grid_processors == 3

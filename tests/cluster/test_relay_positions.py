@@ -1,9 +1,10 @@
-"""Same-instant ordering of the GRAM gatekeeper and the local resource manager.
+"""Same-instant ordering of GRAM, the local resource manager and background load.
 
 Events at one simulated time fire in ``(priority, insertion id)`` order, so
 *where* in an instant the GRAM endpoint grants a gatekeeper slot, draws a
-latency or frees a slot, and where the local resource manager dispatches or
-releases a killed job, decides which of two tied actions wins.  Each test
+latency or frees a slot, where the local resource manager dispatches or
+releases a killed job, and where a background stream draws and submits,
+decides which of two tied actions wins.  Each test
 below builds such a tie and checks only behaviour: times, allocations and
 drawn values.  Nothing here inspects event types or counts, so the tests hold
 for any implementation that keeps the drain order.
@@ -14,7 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, GramEndpoint, LocalJob, LocalResourceManager
+from repro.cluster import (
+    BackgroundLoadGenerator,
+    BackgroundLoadSpec,
+    Cluster,
+    GramEndpoint,
+    LocalJob,
+    LocalResourceManager,
+)
 from repro.sim import Environment
 
 
@@ -331,3 +339,99 @@ def test_jobs_queued_before_the_first_dispatch_still_start_in_order(backfilling)
     expected = [0, 5, 0] if backfilling else [0, 5, 5]
     assert [job.start_time for job in jobs] == expected
     assert all(job.finish_time == job.start_time + 5 for job in jobs)
+
+
+# ---------------------------------------------------------------------------
+# Background load
+# ---------------------------------------------------------------------------
+
+
+#: Gaps and durations are both exponential draws; their means tell them apart.
+GAP_MEAN = 10.0
+DURATION_MEAN = 7.0
+
+
+class ScriptedRng:
+    """Serves scripted draws and logs each with its time and what it drew."""
+
+    def __init__(self, env, log, gaps, durations=(), processors=()):
+        self.env = env
+        self.log = log
+        self.script = {GAP_MEAN: list(gaps), DURATION_MEAN: list(durations)}
+        self.processors = list(processors)
+
+    def exponential(self, scale):
+        kind = "gap" if scale == GAP_MEAN else "duration"
+        self.log.append((self.env.now, kind))
+        return self.script[scale].pop(0)
+
+    def integers(self, low, high):
+        self.log.append((self.env.now, "processors"))
+        return self.processors.pop(0)
+
+
+def background(env, rng, **window):
+    cluster = Cluster(env, "c", 4)
+    lrm = LocalResourceManager(env, cluster)
+    spec = BackgroundLoadSpec(
+        mean_interarrival=GAP_MEAN, mean_duration=DURATION_MEAN, max_processors=4, **window
+    )
+    return lrm, BackgroundLoadGenerator(env, lrm, spec, rng)
+
+
+def test_first_gap_is_drawn_ahead_of_the_normal_events_of_the_construction_instant():
+    """The stream starts one URGENT hop after its construction: behind URGENT
+    work queued before it, ahead of every NORMAL event of the instant."""
+    env = Environment()
+    log = []
+    urgent(env, lambda: log.append((env.now, "urgent")))
+    later(env, lambda: log.append((env.now, "normal")))
+    background(env, ScriptedRng(env, log, gaps=[100.0]), end_time=50.0)
+    env.run()
+    assert log == [(0, "urgent"), (0, "gap"), (0, "normal")]
+
+
+def test_arrival_draws_processors_and_duration_then_submits_then_draws_the_next_gap():
+    env = Environment()
+    log = []
+    rng = ScriptedRng(env, log, gaps=[3.0, 4.0, 5.0], durations=[2.5, 1.5], processors=[2, 3])
+    lrm, generator = background(env, rng, end_time=9.0)
+    submitted = []
+
+    def submit(job):
+        submitted.append((env.now, len(log)))  # how many draws came first
+
+    lrm.submit = submit
+    env.run()
+    assert log == [
+        (0, "gap"),
+        (3.0, "processors"), (3.0, "duration"), (3.0, "gap"),
+        (7.0, "processors"), (7.0, "duration"), (7.0, "gap"),
+    ]
+    assert submitted == [(3.0, 3), (7.0, 6)]
+    assert [(job.processors, job.duration) for job in generator.jobs] == [(2, 2.5), (3, 1.5)]
+
+
+def test_arrival_at_exactly_the_end_time_submits_nothing():
+    env = Environment()
+    log = []
+    lrm, generator = background(
+        env, ScriptedRng(env, log, gaps=[2.0, 4.0], durations=[1.0], processors=[1]), end_time=6.0
+    )
+    env.run()
+    assert [job.submit_time for job in generator.jobs] == [2.0]
+    assert log[-1] == (2.0, "gap")
+    assert env.now == 6.0
+    assert lrm.finished_jobs == generator.jobs
+
+
+def test_start_time_delays_the_first_draw():
+    env = Environment()
+    log = []
+    _, generator = background(
+        env, ScriptedRng(env, log, gaps=[1.0, 10.0], durations=[1.0], processors=[1]),
+        start_time=5.0, end_time=8.0,
+    )
+    env.run()
+    assert log[0] == (5.0, "gap")
+    assert [job.submit_time for job in generator.jobs] == [6.0]

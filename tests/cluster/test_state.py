@@ -3,7 +3,7 @@
 The invariants under test are the module's contract: after every mutation,
 ``idle == max(0, total - failed - used)`` and ``effective == max(0,
 idle - pending)``, the shared dict views reflect the columns, and the
-vectorized Worst-Fit selection matches the historical sort-based rule.
+Worst-Fit selection matches the historical sort-based rule.
 The last test binds real clusters through a multicluster and checks the
 mirror stays exact through allocate/release/fail/repair.
 """

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.apps import gadget2_profile
 from repro.cluster import Multicluster
+from repro.cluster.state import ClusterState
 from repro.policies.registry import build_policy
 from repro.koala import (
     CloseToFiles,
@@ -84,6 +89,43 @@ def test_worst_fit_accounts_for_already_placed_components(system, gadget2):
     decision = policy.place(coallocated_job(gadget2, [12, 10]), idle, system)
     # 12 fits on big, but then only 8 remain there and nothing else fits 10.
     assert not decision.success
+
+
+#: One cluster of the Worst-Fit property: total, grid and local use, failed
+#: nodes and pending claims.  Use, failures and claims may exceed the total,
+#: as they transiently do while a failure's victims are torn down.
+cluster_columns = st.tuples(
+    st.integers(1, 12), st.integers(0, 8), st.integers(0, 8), st.integers(0, 6), st.integers(0, 6)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    clusters=st.dictionaries(st.text("abcd", min_size=1, max_size=3), cluster_columns, max_size=6),
+    data=st.data(),
+)
+def test_worst_fit_fast_path_equals_the_sort_path(clusters, data):
+    """The single-component fast path (the live effective view, served by
+    ``ClusterState.select_worst_fit``) and the general sort path (any other
+    dict, here a copy of that view) make the same decision, the empty
+    system included."""
+    state = ClusterState()
+    for name, (total, grid, local, failed, pending) in clusters.items():
+        index = state.register(name, total)
+        state.update_usage(index, grid, local)
+        state.update_failed(index, failed)
+        state.update_pending(name, pending)
+    largest = max((total for total, *_ in clusters.values()), default=0)
+    processors = data.draw(st.integers(1, largest + 1), label="processors")
+    job = single_component_job(gadget2_profile(), processors)
+    system = SimpleNamespace(state=state)
+
+    fast = WorstFit().place(job, state.effective_view(), system)
+    general = WorstFit().place(job, dict(state.effective_view()), system)
+
+    assert (fast.success, fast.placements, fast.reason) == (
+        general.success, general.placements, general.reason
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,24 @@ def test_client_reconnects_after_a_transport_timeout(daemon, tiny_record):
         assert client.status()["op"] == "status"
 
 
+def test_failed_connect_closes_its_socket(tmp_path):
+    # wait_until_ready polls connect() while a daemon starts, so a socket
+    # left open per failed attempt would leak one per poll.
+    import gc
+    import warnings
+
+    from repro.service import ServiceClient
+
+    client = ServiceClient(socket_path=tmp_path / "nobody-home.sock")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OSError):
+            client.connect()
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert client._sock is None
+
+
 def test_failed_store_write_keeps_the_finished_job(daemon, tiny_record, tmp_path, monkeypatch):
     runner = GateRunner(tiny_record)
     runner.gate.set()

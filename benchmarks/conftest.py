@@ -22,7 +22,7 @@ __all__ = ["bench_jobs", "bench_procs", "bench_seed"]
 @pytest.fixture(scope="session")
 def figure7_results():
     """The four Figure 7 runs, shared by all Figure 7 panel benchmarks."""
-    from repro.experiments import run_figure7
+    from repro.experiments.figure7 import run_figure7
 
     return run_figure7(job_count=bench_jobs(), seed=bench_seed(), jobs=bench_procs())
 
@@ -30,6 +30,6 @@ def figure7_results():
 @pytest.fixture(scope="session")
 def figure8_results():
     """The four Figure 8 runs, shared by all Figure 8 panel benchmarks."""
-    from repro.experiments import run_figure8
+    from repro.experiments.figure8 import run_figure8
 
     return run_figure8(job_count=bench_jobs(), seed=bench_seed(), jobs=bench_procs())

@@ -2,7 +2,7 @@
 
 Not a paper figure, but the substrate every experiment stands on: these
 benchmarks track the event-processing throughput of the engine and the cost
-of the resource primitives, so performance regressions in the kernel are
+of the counted resource, so performance regressions in the kernel are
 caught before they show up as slow experiments.
 """
 
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Container, Environment, Resource
+from repro.sim import Environment
+from repro.sim.resources import Resource
 
 pytestmark = pytest.mark.bench  # deselected by default (see pyproject.toml); run with -m bench
 
@@ -43,26 +44,6 @@ def run_resource_contention(users: int = 500, cycles: int = 20) -> int:
         env.process(user(env, resource))
     env.run()
     return len(completions)
-
-
-def run_container_producers(pairs: int = 300, cycles: int = 30) -> float:
-    env = Environment()
-    container = Container(env, capacity=1_000, init=0)
-
-    def producer(env, container):
-        for _ in range(cycles):
-            yield env.timeout(1.0)
-            yield container.put(2)
-
-    def consumer(env, container):
-        for _ in range(cycles):
-            yield container.get(2)
-
-    for _ in range(pairs):
-        env.process(producer(env, container))
-        env.process(consumer(env, container))
-    env.run()
-    return container.level
 
 
 def run_condition_churn(waiters: int = 2_000) -> int:
@@ -100,8 +81,3 @@ def test_bench_engine_condition_churn(benchmark):
 def test_bench_engine_resource_contention(benchmark):
     completed = benchmark(run_resource_contention)
     assert completed == 500
-
-
-def test_bench_engine_container_throughput(benchmark):
-    level = benchmark(run_container_producers)
-    assert level == 0

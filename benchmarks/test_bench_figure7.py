@@ -11,8 +11,7 @@ import pytest
 
 import numpy as np
 
-from repro.experiments import run_figure7
-from repro.experiments.figure7 import figure7_report
+from repro.experiments.figure7 import figure7_report, run_figure7
 from repro.metrics.reports import cdf_probe_table, comparison_table
 
 from _bench_env import bench_jobs, bench_seed

@@ -11,8 +11,8 @@ import pytest
 
 import numpy as np
 
-from repro.experiments import run_figure7, run_figure8
-from repro.experiments.figure8 import figure8_report
+from repro.experiments.figure7 import run_figure7
+from repro.experiments.figure8 import figure8_report, run_figure8
 from repro.metrics.reports import cdf_probe_table, comparison_table
 
 from _bench_env import bench_jobs, bench_seed

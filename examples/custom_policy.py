@@ -3,7 +3,7 @@
 One ``@register`` decorator plugs a policy into every surface of the system:
 ``ExperimentConfig``/``SchedulerConfig`` fields, scenario sweeps, the result
 cache and ``repro-cli`` (run this file's directory with
-``repro-cli --policy-module examples/custom_policy.py list-policies``).
+``repro-cli --policy-module examples/custom_policy.py list policies``).
 
 Run directly::
 

@@ -23,7 +23,7 @@ Run it with::
 
 (The same comparison is available declaratively: ``repro-cli run
 fault-sweep`` sweeps MTBF x policy, ``repro-cli run churn-replay`` replays a
-trace malleable-vs-rigid, and ``repro-cli list-faults`` shows every model.)
+trace malleable-vs-rigid, and ``repro-cli list faults`` shows every model.)
 """
 
 from __future__ import annotations

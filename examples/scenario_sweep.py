@@ -20,7 +20,7 @@ from __future__ import annotations
 import tempfile
 import time
 
-from repro.experiments import ScenarioSpec, ScenarioVariant, run_scenario
+from repro.experiments.scenarios import ScenarioSpec, ScenarioVariant, run_scenario
 from repro.metrics import summary_table
 
 # Compare the two malleability policies across all four paper workloads at a

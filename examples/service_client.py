@@ -22,7 +22,8 @@ import tempfile
 import threading
 from pathlib import Path
 
-from repro.service import ExperimentService, ResultStore, ServiceClient
+from repro.service import ResultStore, ServiceClient
+from repro.service.daemon import ExperimentService
 
 
 def start_daemon(store: ResultStore, socket_path: Path) -> threading.Thread:

@@ -23,7 +23,7 @@ Run it with::
 
 (The same comparison is available declaratively: ``repro-cli run
 trace-replay`` sweeps malleability policies over a trace, and ``repro-cli
-list-traces`` shows what can be replayed.)
+list traces`` shows what can be replayed.)
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def main() -> None:
     parser.add_argument(
         "--trace",
         default="das3-synthetic",
-        help="trace name or .swf path (see repro-cli list-traces)",
+        help="trace name or .swf path (see repro-cli list traces)",
     )
     parser.add_argument("--max-jobs", type=int, default=100, help="cap on replayed jobs")
     parser.add_argument(

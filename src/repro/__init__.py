@@ -42,7 +42,7 @@ mechanism.
 
 Quickstart
 ----------
->>> from repro.experiments import ExperimentConfig, run_experiment
+>>> from repro.experiments.setup import ExperimentConfig, run_experiment
 >>> result = run_experiment(ExperimentConfig(workload="Wm", job_count=20,
 ...                                          malleability_policy="EGS", approach="PRA"))
 >>> result.metrics.job_count

@@ -81,13 +81,10 @@ def kernel_fingerprint(env: Environment) -> Dict[str, Any]:
     }
 
 
-def native_unsupported_reason(config, workload=None) -> Optional[str]:
+def native_unsupported_reason(config, workload) -> Optional[str]:
     """Why *config*/*workload* falls outside the native-capture envelope.
 
-    ``None`` means native capture is supported.  A ``workload`` of ``None``
-    skips the per-job checks — a config-only screen for callers deciding on
-    a mode before the workload exists; :func:`capture_state` always re-checks
-    with the real one.  The envelope is deliberately
+    ``None`` means native capture is supported.  The envelope is deliberately
     conservative: every feature listed here either keeps long-lived processes
     whose generator frames cannot be serialised (malleable applications,
     fault injectors) or draws from a random stream in ways the rebuilt run
@@ -116,7 +113,7 @@ def native_unsupported_reason(config, workload=None) -> Optional[str]:
             f"placement policy {config.placement_policy!r} retains state across "
             f"events (native capture supports {sorted(NATIVE_PLACEMENT_POLICIES)})"
         )
-    for spec in workload or ():
+    for spec in workload:
         if spec.kind.value != "rigid":
             return f"workload contains non-rigid job kind {spec.kind.value!r}"
         if not spec.name:

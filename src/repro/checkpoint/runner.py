@@ -3,10 +3,13 @@
 :func:`run_checkpointed` runs resumable long simulations: it advances a
 :class:`~repro.experiments.setup.SimulationRun` in checkpoint intervals,
 drains finished jobs into streaming windowed metrics at every boundary (so
-memory stays flat at million-job scale), and persists a native checkpoint
-per boundary.  The run object itself lives in :mod:`repro.experiments.setup`,
-beside :func:`~repro.experiments.setup.run_experiment`, which builds and
-advances its runs the same way.
+memory stays flat at million-job scale), and persists a checkpoint per
+boundary: native where
+:func:`~repro.checkpoint.capture.native_unsupported_reason` allows it,
+replay otherwise.  The run object itself lives in
+:mod:`repro.experiments.setup`, beside
+:func:`~repro.experiments.setup.run_experiment`, which builds and advances
+its runs the same way.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.checkpoint.capture import (
     advance_to_safe_point,
     capture_state,
+    native_unsupported_reason,
     step_until,
 )
 from repro.checkpoint.envelope import CheckpointStore, save_checkpoint
@@ -36,7 +40,6 @@ def run_checkpointed(
     store: Optional[CheckpointStore] = None,
     path: Optional[Union[str, Path]] = None,
     workload: Optional[WorkloadSpec] = None,
-    mode: str = "native",
     run: Optional[SimulationRun] = None,
 ) -> Dict[str, Any]:
     """Run *config* to completion, checkpointing every *checkpoint_every* s.
@@ -47,6 +50,11 @@ def run_checkpointed(
     is.  Checkpoints are persisted to *store* (content-addressed) and/or as
     numbered files derived from *path* (``path``'s stem gains a ``-NNNN``
     index per boundary); with neither, the envelopes are only returned.
+    The capture mode follows the configuration: native when
+    :func:`~repro.checkpoint.capture.native_unsupported_reason` finds
+    nothing against the run's config and workload, replay otherwise (every
+    malleable, jittered, background-loaded or fault-injected run of the
+    paper).
 
     Pass a restored *run* (from :func:`repro.checkpoint.restore.restore_run`)
     to resume a previous invocation; its configuration must match *config*.
@@ -62,6 +70,7 @@ def run_checkpointed(
         )
     elif run.collector is None:
         raise ValueError("a resumed run must carry a windowed collector")
+    mode = "native" if native_unsupported_reason(config, run.workload) is None else "replay"
     env = run.env
     limit = float(config.time_limit)
     interval = float(checkpoint_every)

@@ -1,6 +1,6 @@
 """Experiment layer: scenario registry, sweep engine and figure reports.
 
-The layer is organised around three pieces:
+The layer is organised around these pieces:
 
 * :mod:`repro.experiments.scenarios` — the declarative registry: every
   figure, table and ablation of the paper is a
@@ -16,52 +16,9 @@ The layer is organised around three pieces:
   former hand-rolled serial loops live (once) in the engine;
 * :mod:`repro.experiments.setup` — the shared single-run machinery;
 * :mod:`repro.experiments.cli` — the ``repro-cli`` command-line tool
-  (``list-scenarios`` / ``run`` / ``sweep`` / ``custom``).
+  (``list`` / ``run`` / ``sweep`` / ``custom`` and more).
+
+The package re-exports nothing: import each name from the module that
+defines it, so that importing :mod:`repro.experiments.cli` loads no
+simulator.
 """
-
-from repro.experiments.engine import ResultCache, run_configs
-from repro.experiments.scenarios import (
-    ScenarioSpec,
-    ScenarioVariant,
-    get_scenario,
-    policy_variants,
-    register_scenario,
-    run_scenario,
-    scenario_names,
-    scenario_report,
-)
-from repro.experiments.setup import (
-    ExperimentConfig,
-    ExperimentResult,
-    build_workload,
-    run_experiment,
-)
-from repro.experiments.figure6 import figure6_report, figure6_table, run_figure6
-from repro.experiments.figure7 import figure7_report, run_figure7
-from repro.experiments.figure8 import figure8_report, run_figure8
-from repro.experiments.table1 import table1_report
-
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ResultCache",
-    "ScenarioSpec",
-    "ScenarioVariant",
-    "build_workload",
-    "figure6_report",
-    "figure6_table",
-    "figure7_report",
-    "figure8_report",
-    "get_scenario",
-    "policy_variants",
-    "register_scenario",
-    "run_configs",
-    "run_experiment",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8",
-    "run_scenario",
-    "scenario_names",
-    "scenario_report",
-    "table1_report",
-]

@@ -1,14 +1,15 @@
-"""Command-line entry point: ``repro-cli`` (also installed as ``repro-experiment``).
+"""Command-line entry point: ``repro-cli``.
 
 Every figure, table and ablation of the paper is a *scenario* in the
 declarative registry (:mod:`repro.experiments.scenarios`); the CLI is a thin
-shell over the sweep engine that runs them.
+shell over the sweep engine that runs them.  Each command imports only what
+it runs, so ``--help`` and the daemon client load no simulator and no numpy.
 
 Examples
 --------
 See what can be run::
 
-    repro-cli list-scenarios
+    repro-cli list scenarios
 
 Reproduce Figure 7 on 4 worker processes (cached: a second invocation after
 only plotting-layer edits is near-instant)::
@@ -29,7 +30,7 @@ Run one custom configuration outside any scenario::
 
 See every registered policy of every axis, with parameters::
 
-    repro-cli list-policies
+    repro-cli list policies
 
 Run a parameterised policy (``--policy-arg`` repeats; values are Python
 literals)::
@@ -40,14 +41,14 @@ literals)::
 Policies registered in your own module are available to every command after
 ``--policy-module``::
 
-    repro-cli --policy-module my_policies list-policies
+    repro-cli --policy-module my_policies list policies
 
 Trace-driven workloads: list the available traces (the bundled deterministic
 DAS-3-style synthetic trace plus any ``.swf`` files in ``traces/`` or
 ``$REPRO_TRACES_DIR``), replay one through the trace scenarios, or point any
 run at a trace with transformations::
 
-    repro-cli list-traces
+    repro-cli list traces
     repro-cli run trace-replay --job-count 60
     repro-cli run --scenario trace-load-sweep --jobs 4
     repro-cli run trace-replay --trace das3-synthetic --load-factor 2 \\
@@ -57,7 +58,7 @@ run at a trace with transformations::
 Fault injection: list the registered fault models, run the fault scenarios,
 or strike any run with node churn / an availability trace::
 
-    repro-cli list-faults
+    repro-cli list faults
     repro-cli run fault-sweep --jobs 4
     repro-cli run churn-replay --job-count 40
     repro-cli custom --policy EGS --mtbf 3600 --mttr 600 --job-count 60
@@ -96,21 +97,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.experiments.engine import ResultCache, default_cache_dir
-from repro.experiments.scenarios import (
-    get_scenario,
-    iter_scenarios,
-    run_scenario,
-    scenario_report,
-)
-from repro.experiments.setup import ExperimentConfig, run_experiment
-from repro.metrics.reports import metrics_to_csv, summary_table
-from repro.obs.log import setup_logging, survive_closed_stdout
-from repro.policies.registry import (
-    iter_registered,
-    policy_doc,
-    policy_signature,
-)
+from repro.obs.log import get_logger, setup_logging, survive_closed_stdout
 
 
 def _policy_arg(text: str) -> tuple:
@@ -127,7 +114,7 @@ def _import_policy_modules(modules: Sequence[str]) -> None:
     """Import user modules so their ``@register`` decorators run.
 
     Accepts dotted module names and plain ``.py`` file paths, so
-    ``repro-cli --policy-module my_policies.py list-policies`` works without
+    ``repro-cli --policy-module my_policies.py list policies`` works without
     packaging anything.  The resolved references are also exported via
     :data:`~repro.policies.registry.POLICY_MODULES_ENV` so the worker
     processes of a parallel sweep (which re-import ``repro`` from scratch
@@ -157,7 +144,7 @@ def _add_trace_options(parser: argparse.ArgumentParser) -> None:
         "--trace",
         default=None,
         metavar="NAME_OR_PATH",
-        help="replay this trace (see list-traces; a .swf path also works) "
+        help="replay this trace (see 'list traces'; a .swf path also works) "
         "instead of the configured workload",
     )
     parser.add_argument(
@@ -197,7 +184,7 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="REF",
         help="inject faults from this model reference, e.g. "
-        "'fault:exp?mtbf=3600&mttr=600' (see list-faults)",
+        "'fault:exp?mtbf=3600&mttr=600' (see 'list faults')",
     )
     parser.add_argument(
         "--mtbf",
@@ -270,8 +257,6 @@ def _warn_truncated(results, *, stream=None) -> None:
     if stream is not None:
         print(f"WARNING: {message}", file=stream)
         return
-    from repro.obs.log import get_logger
-
     get_logger("cli").warning(message)
 
 
@@ -370,7 +355,7 @@ def _add_scenario_selector(parser: argparse.ArgumentParser) -> None:
         "scenario",
         nargs="?",
         default=None,
-        help="scenario name (see list-scenarios)",
+        help="scenario name (see 'list scenarios')",
     )
     parser.add_argument(
         "--scenario",
@@ -423,6 +408,14 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         help="simulated-time safety bound per run (default: config's); runs "
         "cut off by it warn and are flagged truncated",
     )
+    _add_cache_options(parser)
+    _add_trace_out_option(parser)
+
+
+def _add_cache_options(parser: argparse.ArgumentParser) -> None:
+    """The result-cache options of every command that runs scenario configs."""
+    from repro.service.store import default_cache_dir
+
     parser.add_argument(
         "--no-cache", action="store_true", help="do not read or write the result cache"
     )
@@ -434,7 +427,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=f"result cache directory (default: $REPRO_CACHE_DIR or {default_cache_dir()})",
     )
-    _add_trace_out_option(parser)
 
 
 def _add_trace_out_option(parser: argparse.ArgumentParser) -> None:
@@ -475,23 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser(
-        "list-scenarios", help="list every registered scenario with its run count"
+    listing = subparsers.add_parser(
+        "list", help="list the registered scenarios, policies, traces or fault models"
     )
-
-    subparsers.add_parser(
-        "list-policies",
-        help="list every registered policy (all kinds) with its parameters",
-    )
-
-    subparsers.add_parser(
-        "list-traces",
-        help="list every available trace (registry + traces/ + $REPRO_TRACES_DIR)",
-    )
-
-    subparsers.add_parser(
-        "list-faults",
-        help="list every registered fault model with its parameters",
+    listing.add_argument(
+        "kind",
+        choices=tuple(_LIST_REPORTS),
+        help="scenarios (with run counts), policies (all kinds, with parameters), "
+        "traces (registry + traces/ + $REPRO_TRACES_DIR) or faults (with parameters)",
     )
 
     run = subparsers.add_parser(
@@ -535,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     custom.add_argument("--approach", default="PRA", help="PRA or PWA")
     custom.add_argument(
-        "--placement", default="WF", help="WF, CF, CM, FCM or EASY (see list-policies)"
+        "--placement", default="WF", help="WF, CF, CM, FCM or EASY (see 'list policies')"
     )
     custom.add_argument(
         "--policy-arg",
@@ -612,17 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="jobs per workload (default: scenario's)",
     )
-    tournament.add_argument(
-        "--no-cache", action="store_true", help="do not read or write the result cache"
-    )
-    tournament.add_argument(
-        "--refresh", action="store_true", help="ignore cached results but store fresh ones"
-    )
-    tournament.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"result cache directory (default: $REPRO_CACHE_DIR or {default_cache_dir()})",
-    )
+    _add_cache_options(tournament)
     tournament.add_argument(
         "--socket",
         default=None,
@@ -727,20 +700,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="restore this checkpoint file first and continue from it",
     )
-    ckpt.add_argument(
-        "--mode",
-        choices=("auto", "native", "replay"),
-        default="auto",
-        help="capture mode: 'native' (exact state, supported configs only), "
-        "'replay' (re-simulate to the capture instant; any config) or "
-        "'auto' (native when supported, replay otherwise; the default)",
-    )
     return parser
 
 
-def _cache_from(args: argparse.Namespace) -> Optional[ResultCache]:
+def _cache_from(args: argparse.Namespace):
     if args.no_cache:
         return None
+    from repro.experiments.engine import ResultCache
+
     return ResultCache(args.cache_dir)
 
 
@@ -762,6 +729,8 @@ def _overrides_from(args: argparse.Namespace) -> Optional[dict]:
 
 
 def _list_policies_report() -> str:
+    from repro.policies.registry import iter_registered, policy_doc, policy_signature
+
     lines = ["Registered policies:", ""]
     current_kind = None
     for kind, name, cls in iter_registered():
@@ -822,6 +791,8 @@ def _list_faults_report() -> str:
 
 
 def _list_scenarios_report() -> str:
+    from repro.experiments.scenarios import iter_scenarios
+
     lines = ["Registered scenarios:", ""]
     for spec in iter_scenarios():
         runs = "static report" if spec.is_static else f"{spec.run_count()} runs"
@@ -829,6 +800,15 @@ def _list_scenarios_report() -> str:
     lines.append("")
     lines.append("Run one with: repro-cli run <name> [--jobs N] [--job-count N] [--seed N]")
     return "\n".join(lines)
+
+
+#: The report each kind of ``repro-cli list`` prints, in the order of its choices.
+_LIST_REPORTS = {
+    "scenarios": _list_scenarios_report,
+    "policies": _list_policies_report,
+    "traces": _list_traces_report,
+    "faults": _list_faults_report,
+}
 
 
 @survive_closed_stdout
@@ -856,15 +836,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return cmd_trace(args)
 
-    if args.command == "list-scenarios":
-        report = _list_scenarios_report()
-    elif args.command == "list-policies":
-        report = _list_policies_report()
-    elif args.command == "list-traces":
-        report = _list_traces_report()
-    elif args.command == "list-faults":
-        report = _list_faults_report()
+    if args.command == "list":
+        report = _LIST_REPORTS[args.kind]()
     elif args.command in ("run", "sweep"):
+        from repro.experiments.scenarios import get_scenario, run_scenario, scenario_report
+        from repro.metrics.reports import metrics_to_csv, summary_table
+
         try:
             spec = get_scenario(_selected_scenario(args))
         except ValueError as error:
@@ -903,6 +880,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     title=f"Sweep {spec.name} ({len(results)} runs)",
                 )
     elif args.command == "tournament":
+        from repro.experiments.scenarios import get_scenario, tournament_scenario
         from repro.stats import run_tournament, tournament_report
 
         grid_flags = (
@@ -920,8 +898,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         f"build a custom grid and cannot be combined with "
                         f"scenario {name!r}"
                     )
-                from repro.experiments.scenarios import tournament_scenario
-
                 grid_kwargs: dict = {"name": "tournament-custom"}
                 if args.policies is not None:
                     grid_kwargs["policies"] = args.policies
@@ -1008,13 +984,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ]
         report = "\n".join(lines)
     elif args.command == "checkpointed":
-        from repro.checkpoint import (
-            CheckpointError,
-            CheckpointStore,
-            native_unsupported_reason,
-            resume_run,
-            run_checkpointed,
-        )
+        from repro.checkpoint import CheckpointError, CheckpointStore, resume_run, run_checkpointed
+        from repro.experiments.scenarios import get_scenario
 
         try:
             spec = get_scenario(_selected_scenario(args))
@@ -1025,9 +996,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"scenario {spec.name!r} is static and cannot be run")
             return 2  # pragma: no cover - parser.error raises
         _label, config = spec.expand(job_count=args.job_count, seed=args.seed)[0]
-        mode = args.mode
-        if mode == "auto":
-            mode = "replay" if native_unsupported_reason(config, None) else "native"
         try:
             resumed = resume_run(args.resume) if args.resume else None
             if resumed is not None and resumed.config.to_dict() != config.to_dict():
@@ -1045,7 +1013,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     else None
                 ),
                 path=args.checkpoint_path,
-                mode=mode,
                 run=resumed,
             )
         except (CheckpointError, OSError, ValueError) as error:
@@ -1066,6 +1033,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             lines.append(f"  stored {key}")
         report = "\n".join(lines)
     elif args.command == "custom":
+        from repro.experiments.setup import ExperimentConfig, run_experiment
+        from repro.metrics.reports import metrics_to_csv, summary_table
+
         policy = None if args.policy.lower() in ("none", "off") else args.policy
         if policy is None and args.policy_arg:
             parser.error("--policy-arg requires a --policy other than 'none'")

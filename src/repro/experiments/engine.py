@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -33,18 +32,7 @@ import repro
 from repro.experiments.setup import ExperimentConfig, ExperimentResult, run_experiment
 from repro.metrics.collector import ExperimentMetrics
 
-#: Environment variable overriding the default cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
 _code_version_cache: Optional[str] = None
-
-
-def default_cache_dir() -> Path:
-    """The result-cache directory: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-experiments``."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro-experiments"
 
 
 def code_version() -> str:
@@ -121,7 +109,7 @@ class ResultCache:
         *,
         budget_bytes: Union[str, int, None] = None,
     ) -> None:
-        from repro.service.store import ResultStore
+        from repro.service.store import ResultStore, default_cache_dir
 
         self.backend = ResultStore(
             Path(directory) if directory is not None else default_cache_dir(),

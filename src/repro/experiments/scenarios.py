@@ -70,7 +70,7 @@ class ScenarioSpec:
     name:
         Registry key (``repro-cli run <name>``).
     title:
-        Human-readable one-liner shown by ``list-scenarios``.
+        Human-readable one-liner shown by ``repro-cli list scenarios``.
     base:
         :class:`~repro.experiments.setup.ExperimentConfig` fields shared by
         every variant.

@@ -11,7 +11,7 @@ to placement (the job-management approaches) — registers here under a
 
     @register("placement", "MYPOLICY")
     class MyPolicy(PlacementPolicy):
-        '''One-line docstring shown by ``repro-cli list-policies``.'''
+        '''One-line docstring shown by ``repro-cli list policies``.'''
         name = "MYPOLICY"
 
         def __init__(self, favour: str = "small") -> None: ...

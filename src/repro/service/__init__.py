@@ -24,6 +24,10 @@ configuration grids deduplicate work instead of repeating it:
 * :mod:`repro.service.client` — a thin synchronous client speaking the same
   protocol, used by ``repro-cli client`` and importable directly.
 
+The package re-exports the client side and the store only.  They need
+nothing beyond the standard library, so a client loads no simulator and no
+numpy; the daemon is :class:`repro.service.daemon.ExperimentService`.
+
 Start a daemon and talk to it::
 
     repro-cli serve --socket /tmp/repro.sock --workers 4 &
@@ -41,11 +45,9 @@ or programmatically (see ``examples/service_client.py``)::
 """
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import ExperimentService
 from repro.service.store import ResultStore, SCHEMA_VERSION
 
 __all__ = [
-    "ExperimentService",
     "ResultStore",
     "SCHEMA_VERSION",
     "ServiceClient",

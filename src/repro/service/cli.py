@@ -30,8 +30,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import default_socket_path
+from repro.service.client import ServiceClient, ServiceError, default_socket_path
 
 #: client operations that take the experiment-config flags.
 _CONFIG_OPS = ("submit", "run-and-wait")
@@ -63,7 +62,7 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--policy", default="FPSMA", help="malleability policy, or 'none'")
     parser.add_argument("--approach", default="PRA", help="PRA or PWA")
-    parser.add_argument("--placement", default="WF", help="placement policy (see list-policies)")
+    parser.add_argument("--placement", default="WF", help="placement policy (see 'list policies')")
     parser.add_argument("--job-count", type=int, default=300)
     parser.add_argument(
         "--seeds",
@@ -178,10 +177,9 @@ def add_client_parser(subparsers: Any) -> argparse.ArgumentParser:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the daemon until shutdown; returns a process exit code."""
-    from repro.experiments.engine import default_cache_dir
     from repro.obs.log import setup_logging
     from repro.service.daemon import ExperimentService
-    from repro.service.store import ResultStore
+    from repro.service.store import ResultStore, default_cache_dir
 
     setup_logging(quiet=getattr(args, "quiet", False))
     try:

@@ -17,15 +17,28 @@ the daemon multiplexes any number of connections).
 
 from __future__ import annotations
 
+import os
 import socket
+import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.service import protocol
-from repro.service.daemon import default_socket_path
 
 ConfigLike = Union[Dict[str, Any], "ExperimentConfig"]  # noqa: F821 - doc alias
+
+#: Environment variable naming the default daemon socket path.
+SOCKET_ENV = "REPRO_SERVICE_SOCKET"
+
+
+def default_socket_path() -> Path:
+    """``$REPRO_SERVICE_SOCKET`` or a per-user path under the temp dir."""
+    override = os.environ.get(SOCKET_ENV)
+    if override:
+        return Path(override)
+    uid = os.getuid() if hasattr(os, "getuid") else 0
+    return Path(tempfile.gettempdir()) / f"repro-service-{uid}.sock"
 
 
 class ServiceError(RuntimeError):
@@ -54,7 +67,7 @@ class ServiceClient:
     ----------
     socket_path:
         Unix socket of the daemon (the default transport).  When neither
-        this nor *host* is given, :func:`~repro.service.daemon.default_socket_path`
+        this nor *host* is given, :func:`default_socket_path`
         is used.
     host, port:
         Localhost TCP alternative to the Unix socket.

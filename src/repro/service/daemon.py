@@ -41,9 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import os
 import sys
-import tempfile
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -56,6 +54,7 @@ from repro.experiments.setup import ExperimentConfig
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.service import protocol
+from repro.service.client import default_socket_path
 from repro.service.store import ResultStore
 
 _log = get_logger("service")
@@ -63,9 +62,6 @@ _log = get_logger("service")
 #: Byte limit per protocol line (requests *and* responses): generous enough
 #: for a detailed 300-job record, small enough to bound a hostile client.
 LINE_LIMIT = 1 << 24
-
-#: Environment variable naming the default daemon socket path.
-SOCKET_ENV = "REPRO_SERVICE_SOCKET"
 
 #: Job lifecycle states, as they appear on the wire.
 QUEUED = "queued"
@@ -84,8 +80,9 @@ def _execute_checkpointed(
     """Worker entry point of the ``checkpointed`` operation.
 
     Runs one configuration through
-    :func:`repro.checkpoint.runner.run_checkpointed`, persisting a native
-    checkpoint under *directory* every *every* simulated seconds.  If the
+    :func:`repro.checkpoint.runner.run_checkpointed`, persisting a
+    checkpoint under *directory* every *every* simulated seconds (native or
+    replay, as the configuration allows).  If the
     directory already holds checkpoints — a previous attempt died mid-run —
     the run resumes from the most advanced restorable one instead of
     starting over; on completion the checkpoints are deleted.  Returns a
@@ -139,15 +136,6 @@ def _execute_checkpointed(
 
 class _BadRequest(ValueError):
     """A client-side request error; reported with code ``bad_request``."""
-
-
-def default_socket_path() -> Path:
-    """``$REPRO_SERVICE_SOCKET`` or a per-user path under the temp dir."""
-    override = os.environ.get(SOCKET_ENV)
-    if override:
-        return Path(override)
-    uid = os.getuid() if hasattr(os, "getuid") else 0
-    return Path(tempfile.gettempdir()) / f"repro-service-{uid}.sock"
 
 
 @dataclass

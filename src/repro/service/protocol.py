@@ -54,8 +54,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
-from repro.metrics.collector import ExperimentMetrics, run_digest
-
 #: Protocol revision, reported by ``status`` and checked by nobody yet:
 #: clients are expected to tolerate unknown response fields.
 PROTOCOL_VERSION = 1
@@ -140,8 +138,11 @@ def metrics_digest(record: Dict[str, Any]) -> str:
     :func:`repro.metrics.collector.run_digest` of the record's metrics, so a
     daemon result and a standalone ``repro-cli run`` of the same
     configuration digest identically exactly when they simulated the same
-    outcomes.
+    outcomes.  Imported here, not at module level: the collector needs
+    numpy, and a client never digests anything.
     """
+    from repro.metrics.collector import run_digest
+
     return run_digest(record["metrics"])
 
 
@@ -152,6 +153,8 @@ def result_head(record: Dict[str, Any]) -> Dict[str, Any]:
     the headline summary statistics (:data:`CONCISE_METRIC_KEYS`).  Every
     result writer computes this once and stores it with the record.
     """
+    from repro.metrics.collector import ExperimentMetrics
+
     summary = ExperimentMetrics.from_dict(record["metrics"]).summary()
     return {
         "digest": metrics_digest(record),

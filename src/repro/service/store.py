@@ -62,7 +62,21 @@ SCHEMA_VERSION = 2
 #: Environment variable bounding the default store size (e.g. ``512M``).
 STORE_BUDGET_ENV = "REPRO_STORE_BUDGET"
 
+#: Environment variable overriding the default store directory.
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
 _SIZE_SUFFIXES = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30, "T": 1 << 40}
+
+
+def default_cache_dir() -> Path:
+    """The default store directory, which the engine's result cache shares.
+
+    ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-experiments``.
+    """
+    override = os.environ.get(CACHE_DIR_ENV)
+    if override:
+        return Path(override)
+    return Path.home() / ".cache" / "repro-experiments"
 
 
 def parse_size(text: Union[str, int, float, None]) -> Optional[int]:

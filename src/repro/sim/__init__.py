@@ -13,10 +13,9 @@ style (comparable to SimPy, which is not available in this environment):
   synchronisation primitives;
 * :class:`~repro.sim.process.Process` wraps a Python generator; the generator
   yields events and is resumed when the yielded event is processed;
-* :mod:`repro.sim.resources` provides shared-resource primitives
-  (:class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Container`,
-  :class:`~repro.sim.resources.Store`);
+* :mod:`repro.sim.resources` provides a counted
+  :class:`~repro.sim.resources.Resource` for process-based code; no program
+  module uses it, so it is not re-exported here;
 * :mod:`repro.sim.rng` provides named, independently seeded random streams so
   that experiments are reproducible and individual stochastic components can
   be varied independently;
@@ -37,16 +36,6 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process, ProcessGenerator
-from repro.sim.resources import (
-    Container,
-    FilterStore,
-    PreemptedError,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
 from repro.sim.rng import RandomStreams
 from repro.sim.monitor import Counter, TimeSeries, TimeWeightedStat
 
@@ -54,22 +43,14 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "Counter",
     "Environment",
     "Event",
-    "FilterStore",
     "Interrupt",
-    "PreemptedError",
-    "PriorityResource",
     "Process",
     "ProcessGenerator",
     "RandomStreams",
-    "Release",
-    "Request",
-    "Resource",
     "StopSimulation",
-    "Store",
     "TimeSeries",
     "TimeWeightedStat",
     "Timeout",

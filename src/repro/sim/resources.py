@@ -1,39 +1,20 @@
-"""Shared-resource primitives for the simulation kernel.
+"""A counted resource for process-based simulation code.
 
-Three families of resources are provided:
-
-* :class:`Resource` / :class:`PriorityResource` — a counted resource with a
-  fixed integer capacity; processes *request* a unit and *release* it later.
-  Requests may be used as context managers.
-* :class:`Container` — a continuous or discrete quantity (e.g. a pool of
-  processors modelled as an amount) with ``put``/``get`` operations.
-* :class:`Store` / :class:`FilterStore` — a queue of arbitrary Python
-  objects with ``put``/``get`` operations; the filtered variant lets getters
-  wait for items satisfying a predicate.
-
-These primitives are intentionally close to the classic process-interaction
-APIs so the higher-level cluster and scheduler code reads naturally.
+:class:`Resource` has a fixed integer capacity; processes *request* a usage
+slot and *release* it later, and requests may be used as context managers.
+No program module uses it: the cluster layer runs callback chains, not
+processes.  It stays for process-based code written against the kernel,
+such as the reference cluster classes of the test suite.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
-
-
-class PreemptedError(Exception):
-    """Raised (as an interrupt cause) when a pre-emptive request evicts a user."""
-
-    def __init__(self, by: Any, usage_since: float) -> None:
-        super().__init__(by, usage_since)
-        #: The request that caused the pre-emption.
-        self.by = by
-        #: Simulation time at which the evicted user acquired the resource.
-        self.usage_since = usage_since
 
 
 class Put(Event):
@@ -87,18 +68,15 @@ class Get(Event):
 
 
 class BaseResource:
-    """Shared machinery for all resource types (queues and trigger logic)."""
-
-    PutQueue = list
-    GetQueue = list
+    """Queue and trigger machinery behind :class:`Resource`."""
 
     def __init__(self, env: "Environment", capacity: float) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.env = env
         self._capacity = capacity
-        self.put_queue: list[Put] = self.PutQueue()
-        self.get_queue: list[Get] = self.GetQueue()
+        self.put_queue: list[Put] = []
+        self.get_queue: list[Get] = []
 
     @property
     def capacity(self) -> float:
@@ -139,11 +117,6 @@ class BaseResource:
                 break
 
 
-# ---------------------------------------------------------------------------
-# Counted resource
-# ---------------------------------------------------------------------------
-
-
 class Request(Put):
     """Request one usage slot of a :class:`Resource`.
 
@@ -168,31 +141,6 @@ class Release(Get):
     def __init__(self, resource: "Resource", request: Request) -> None:
         self.request = request
         super().__init__(resource)
-
-
-class PriorityRequest(Request):
-    """A :class:`Request` with a priority (lower value = more important).
-
-    Ties are broken by request time, then insertion order.
-    """
-
-    __slots__ = ("priority", "preempt", "time", "usage_since", "key")
-
-    def __init__(self, resource: "Resource", priority: int = 0, preempt: bool = False) -> None:
-        self.priority = priority
-        self.preempt = preempt
-        self.time = resource.env.now
-        self.usage_since: Optional[float] = None
-        self.key = (priority, self.time, not preempt)
-        super().__init__(resource)
-
-
-class SortedQueue(list):
-    """A list kept sorted by each item's ``key`` attribute."""
-
-    def append(self, item: Any) -> None:  # type: ignore[override]
-        super().append(item)
-        super().sort(key=lambda e: e.key)
 
 
 class Resource(BaseResource):
@@ -239,162 +187,4 @@ class Resource(BaseResource):
         except ValueError:
             pass
         event.succeed()
-        return True
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose waiting queue is ordered by priority."""
-
-    PutQueue = SortedQueue
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        """Request a slot with the given *priority* (lower = sooner)."""
-        return PriorityRequest(self, priority=priority)
-
-
-# ---------------------------------------------------------------------------
-# Container
-# ---------------------------------------------------------------------------
-
-
-class ContainerPut(Put):
-    """Put *amount* units into a :class:`Container`."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount ({amount}) must be positive")
-        self.amount = amount
-        super().__init__(container)
-
-
-class ContainerGet(Get):
-    """Take *amount* units out of a :class:`Container`."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount ({amount}) must be positive")
-        self.amount = amount
-        super().__init__(container)
-
-
-class Container(BaseResource):
-    """A resource holding a divisible amount between 0 and *capacity*.
-
-    Useful for modelling pools of identical processors where only the count
-    matters.
-    """
-
-    def __init__(
-        self, env: "Environment", capacity: float = float("inf"), init: float = 0.0
-    ) -> None:
-        super().__init__(env, capacity)
-        if init < 0 or init > capacity:
-            raise ValueError("init must lie within [0, capacity]")
-        self._level = init
-
-    @property
-    def level(self) -> float:
-        """Current amount stored in the container."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Put *amount* units into the container (waits if it would overflow)."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Get *amount* units out of the container (waits until available)."""
-        return ContainerGet(self, amount)
-
-    def _do_put(self, event: ContainerPut) -> bool:
-        if self._capacity - self._level >= event.amount:
-            self._level += event.amount
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: ContainerGet) -> bool:
-        if self._level >= event.amount:
-            self._level -= event.amount
-            event.succeed()
-            return True
-        return False
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-
-class StorePut(Put):
-    """Put *item* into a :class:`Store`."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        self.item = item
-        super().__init__(store)
-
-
-class StoreGet(Get):
-    """Get an item out of a :class:`Store`."""
-
-    __slots__ = ()
-
-
-class FilterStoreGet(StoreGet):
-    """Get the first item matching *filter_fn* out of a :class:`FilterStore`."""
-
-    __slots__ = ("filter",)
-
-    def __init__(
-        self, store: "FilterStore", filter_fn: Callable[[Any], bool] = lambda item: True
-    ) -> None:
-        self.filter = filter_fn
-        super().__init__(store)
-
-
-class Store(BaseResource):
-    """A FIFO store of arbitrary Python objects with bounded capacity."""
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
-        self.items: list[Any] = []
-
-    def put(self, item: Any) -> StorePut:
-        """Put *item* into the store (waits while the store is full)."""
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        """Get the oldest item out of the store (waits while it is empty)."""
-        return StoreGet(self)
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            self.items.append(event.item)
-            event.succeed()
-        return True
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(self.items.pop(0))
-        return True
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose getters may wait for items matching a predicate."""
-
-    def get(self, filter_fn: Callable[[Any], bool] = lambda item: True) -> FilterStoreGet:  # type: ignore[override]
-        """Get the first item for which ``filter_fn(item)`` is true."""
-        return FilterStoreGet(self, filter_fn)
-
-    def _do_get(self, event: FilterStoreGet) -> bool:  # type: ignore[override]
-        for item in self.items:
-            if event.filter(item):
-                self.items.remove(item)
-                event.succeed(item)
-                break
         return True

@@ -15,6 +15,9 @@ def test_parser_knows_the_new_commands():
     )
     assert args.command == "checkpointed"
     assert args.every == 600.0
+    # The capture mode follows the configuration; there is nothing to choose.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["checkpointed", "figure7", "--mode", "native"])
 
 
 def test_shard_replay_command(capsys):
@@ -26,8 +29,8 @@ def test_shard_replay_command(capsys):
 
 
 def test_checkpointed_defaults_to_replay_outside_native_envelope(capsys):
-    # figure7 is malleable — native capture is impossible, so the default
-    # 'auto' mode must fall back to replay instead of erroring out.
+    # figure7 is malleable — native capture is impossible, so the run must
+    # fall back to replay instead of erroring out.
     assert main(["checkpointed", "--scenario", "figure7", "--job-count", "10"]) == 0
     output = capsys.readouterr().out
     assert "all done: True" in output

@@ -132,6 +132,16 @@ def test_recapture_of_restored_run_matches(tmp_path):
     assert again.collector.window.digest == _serial_digest(_config(), _workload())
 
 
+def test_run_checkpointed_picks_the_capture_mode_from_the_config():
+    native = run_checkpointed(_config(), checkpoint_every=700.0, workload=_workload())
+    assert native["last_checkpoint"]["mode"] == "native"
+    _label, config = get_scenario("figure7").expand(job_count=20)[0]
+    replay = run_checkpointed(config, checkpoint_every=600.0)
+    assert replay["all_done"]
+    assert replay["checkpoints"] > 0
+    assert replay["last_checkpoint"]["mode"] == "replay"
+
+
 def test_native_capture_refused_outside_envelope():
     _label, config = get_scenario("figure7").expand(job_count=10)[0]
     run = SimulationRun.fresh(config, retain_jobs=False, collect_windowed=True)

@@ -5,8 +5,11 @@ from __future__ import annotations
 import asyncio
 import os
 
+import pytest
+
 from repro.checkpoint import SimulationRun
-from repro.checkpoint.shard import shard_bench_config
+from repro.experiments.scenarios import get_scenario
+from repro.experiments.setup import ExperimentConfig
 from repro.service.daemon import ExperimentService, _execute_checkpointed
 
 JOBS = 300
@@ -27,9 +30,23 @@ def _config_fields() -> dict:
     }
 
 
-def _serial_digest() -> str:
+def _figure7_fields() -> dict:
+    """A paper configuration: malleable, so its checkpoints are replay mode."""
+    _label, config = get_scenario("figure7").expand(job_count=60)[0]
+    return config.to_dict()
+
+
+#: ``(config fields, checkpoint interval)``: a native-capture config and a
+#: paper configuration outside the native envelope.
+CASES = {
+    "shard-replay": (_config_fields, 200.0),
+    "figure7": (_figure7_fields, 600.0),
+}
+
+
+def _serial_digest(fields: dict) -> str:
     run = SimulationRun.fresh(
-        shard_bench_config(JOBS, seed=0), retain_jobs=False, collect_windowed=True
+        ExperimentConfig.from_dict(fields), retain_jobs=False, collect_windowed=True
     )
     run.run_to_completion(drain=True)
     return run.collector.window.digest
@@ -46,17 +63,21 @@ def _dispatch(service, request):
     return asyncio.run(main())
 
 
-def test_checkpointed_op_runs_and_matches_serial(tmp_path):
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_checkpointed_op_runs_and_matches_serial(tmp_path, case):
+    make_fields, every = CASES[case]
+    fields = make_fields()
     service = ExperimentService(tmp_path, workers=1)
     response = _dispatch(
         service,
-        {"op": "checkpointed", "config": _config_fields(), "checkpoint_every": 200.0},
+        {"op": "checkpointed", "config": fields, "checkpoint_every": every},
     )
     assert response["ok"], response
     assert response["all_done"]
-    assert response["jobs"] == JOBS
+    assert response["jobs"] == fields["job_count"]
+    assert response["checkpoints"] > 0
     assert response["resumed_at"] is None
-    assert response["digest"] == _serial_digest()
+    assert response["digest"] == _serial_digest(fields)
     # Completed runs leave no checkpoints behind.
     leftovers = list((tmp_path / "checkpoints").rglob("state-*.json"))
     assert leftovers == []
@@ -81,12 +102,13 @@ def test_checkpointed_op_rejects_bad_config(tmp_path):
     assert response["error"]["code"] == "bad_config"
 
 
-def test_worker_resumes_from_leftover_checkpoint(tmp_path):
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_worker_resumes_from_leftover_checkpoint(tmp_path, case):
     """A repeat request after a mid-run crash resumes, not restarts."""
     from repro.checkpoint import load_checkpoint, run_checkpointed
-    from repro.experiments.setup import ExperimentConfig
 
-    config = _config_fields()
+    make_fields, every = CASES[case]
+    config = make_fields()
     directory = tmp_path / "ck"
 
     # Recreate what a crashed worker leaves behind: run the same config
@@ -94,7 +116,7 @@ def test_worker_resumes_from_leftover_checkpoint(tmp_path):
     # runs delete them — so copy the files out first and put one back.
     out = run_checkpointed(
         ExperimentConfig.from_dict(config),
-        checkpoint_every=200.0,
+        checkpoint_every=every,
         path=directory / "state.json",
     )
     assert out["all_done"] and out["checkpoint_paths"]
@@ -103,9 +125,9 @@ def test_worker_resumes_from_leftover_checkpoint(tmp_path):
     for path in out["checkpoint_paths"][:-1]:
         os.unlink(path)
 
-    resumed = _execute_checkpointed(config, 200.0, str(directory))
+    resumed = _execute_checkpointed(config, every, str(directory))
     assert resumed["all_done"]
     assert resumed["resumed_at"] == survivor_time
-    assert resumed["digest"] == _serial_digest()
+    assert resumed["digest"] == _serial_digest(config)
     # ... and this completed run cleaned the directory up again.
     assert list(directory.glob("state-*.json")) == []

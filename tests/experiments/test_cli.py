@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
@@ -16,7 +18,7 @@ def isolated_cache(tmp_path, monkeypatch):
 def test_parser_knows_all_commands():
     parser = build_parser()
     samples = {
-        "list-scenarios": ["list-scenarios"],
+        "list": ["list", "scenarios"],
         "run": ["run", "figure7"],
         "sweep": ["sweep", "figure7"],
         "custom": ["custom"],
@@ -25,13 +27,41 @@ def test_parser_knows_all_commands():
         assert parser.parse_args(argv).command == command
 
 
+def test_parser_has_ten_commands():
+    parser = build_parser()
+    (subparsers,) = [
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(subparsers.choices) == [
+        "checkpointed",
+        "client",
+        "custom",
+        "list",
+        "run",
+        "serve",
+        "shard-replay",
+        "sweep",
+        "tournament",
+        "trace",
+    ]
+
+
+def test_list_takes_one_of_four_kinds():
+    parser = build_parser()
+    for kind in ("scenarios", "policies", "traces", "faults"):
+        assert parser.parse_args(["list", kind]).kind == kind
+    for argv in (["list"], ["list", "jobs"], ["list-scenarios"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+
+
 def test_cli_requires_a_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
 
 
 def test_list_scenarios_names_every_registered_scenario(capsys):
-    assert main(["list-scenarios"]) == 0
+    assert main(["list", "scenarios"]) == 0
     output = capsys.readouterr().out
     for name in ("figure6", "figure7", "figure8", "table1", "ablation-policy"):
         assert name in output
@@ -141,7 +171,7 @@ def test_unknown_scenario_rejected():
 
 
 def test_list_policies_names_every_axis_and_signature(capsys):
-    assert main(["list-policies"]) == 0
+    assert main(["list", "policies"]) == 0
     output = capsys.readouterr().out
     for kind in ("placement:", "malleability:", "approach:"):
         assert kind in output

@@ -9,16 +9,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments import (
+from repro.experiments.figure6 import (
     figure6_report,
     figure6_table,
-    figure7_report,
-    figure8_report,
     run_figure6,
-    run_figure7,
-    run_figure8,
+    simulate_execution_time,
 )
-from repro.experiments.figure6 import simulate_execution_time
+from repro.experiments.figure7 import figure7_report, run_figure7
+from repro.experiments.figure8 import figure8_report, run_figure8
 from repro.apps import ft_profile, gadget2_profile
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ExperimentConfig, build_workload, run_experiment
 from repro.experiments.setup import (
     DEFAULT_BACKGROUND_PROFILE,
     FIGURE8_BACKGROUND_PROFILE,
+    ExperimentConfig,
     SimulationRun,
+    build_workload,
     default_background,
+    run_experiment,
 )
 from repro.metrics import run_digest
 from repro.sim import RandomStreams

@@ -4,7 +4,7 @@ The trace workload axis must compose with everything the experiment layer
 already guarantees for synthetic workloads: every registered placement ×
 malleability policy completes a tiny trace replay, serial and parallel
 sweeps of the trace scenarios are byte-identical, and the CLI paths
-(``list-traces``, ``run trace-replay``, ``--trace``/``--load-factor``)
+(``list traces``, ``run trace-replay``, ``--trace``/``--load-factor``)
 work end-to-end.
 """
 
@@ -121,7 +121,7 @@ def test_trace_replay_results_are_cacheable(tmp_path):
 
 
 def test_cli_list_traces(capsys):
-    assert cli_main(["list-traces"]) == 0
+    assert cli_main(["list", "traces"]) == 0
     output = capsys.readouterr().out
     assert "das3-synthetic" in output
     assert "REPRO_TRACES_DIR" in output

@@ -13,7 +13,7 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 def test_list_faults_names_every_registered_model(capsys):
-    assert main(["list-faults"]) == 0
+    assert main(["list", "faults"]) == 0
     output = capsys.readouterr().out
     for name in ("exp", "weibull", "outage", "drain", "trace"):
         assert name in output
@@ -21,7 +21,7 @@ def test_list_faults_names_every_registered_model(capsys):
 
 
 def test_list_scenarios_includes_the_fault_scenarios(capsys):
-    assert main(["list-scenarios"]) == 0
+    assert main(["list", "scenarios"]) == 0
     output = capsys.readouterr().out
     assert "fault-sweep" in output
     assert "churn-replay" in output

@@ -2,7 +2,7 @@
 
 This is the acceptance test of the policy-API redesign: registering a policy
 with one ``@register`` decorator — no changes to the scheduler, manager or
-CLI — makes it listable by ``repro-cli list-policies``, constructible with
+CLI — makes it listable by ``repro-cli list policies``, constructible with
 parameters from a :class:`~repro.experiments.scenarios.ScenarioSpec` and
 runnable end-to-end.
 """
@@ -65,7 +65,7 @@ def test_single_file_policy_reaches_every_surface(
     module_path.write_text(CUSTOM_POLICY_SOURCE, encoding="utf-8")
 
     # Listable through the CLI, loaded from the file, no repo edits.
-    exit_code = main(["--policy-module", str(module_path), "list-policies"])
+    exit_code = main(["--policy-module", str(module_path), "list", "policies"])
     assert exit_code == 0
     output = capsys.readouterr().out
     assert "FIRSTFIT" in output
@@ -121,14 +121,14 @@ def test_policy_module_flag_is_idempotent(tmp_path, capsys, scratch_registration
     module_path = tmp_path / "repeat_policies.py"
     module_path.write_text(CUSTOM_POLICY_SOURCE, encoding="utf-8")
     argv = ["--policy-module", str(module_path), "--policy-module", str(module_path)]
-    assert main(argv + ["list-policies"]) == 0
+    assert main(argv + ["list", "policies"]) == 0
     assert "FIRSTFIT" in capsys.readouterr().out
     # The module reference is exported (once) for sweep worker processes.
     assert os.environ[POLICY_MODULES_ENV].split(os.pathsep).count(
         str(module_path.resolve())
     ) == 1
     # A second invocation in the same process must not re-execute the module.
-    assert main(argv + ["list-policies"]) == 0
+    assert main(argv + ["list", "policies"]) == 0
     assert "FIRSTFIT" in capsys.readouterr().out
 
 
@@ -140,7 +140,7 @@ def test_policy_file_with_stdlib_stem_still_loads(tmp_path, capsys, scratch_regi
     # must not shadow the real module.
     module_path = tmp_path / "json.py"
     module_path.write_text(CUSTOM_POLICY_SOURCE, encoding="utf-8")
-    assert main(["--policy-module", str(module_path), "list-policies"]) == 0
+    assert main(["--policy-module", str(module_path), "list", "policies"]) == 0
     assert "FIRSTFIT" in capsys.readouterr().out
     import json as real_json
 
@@ -151,5 +151,5 @@ def test_broken_policy_module_reports_cli_error(tmp_path, capsys, scratch_regist
     module_path = tmp_path / "broken_policies.py"
     module_path.write_text("raise ValueError('boom at import')\n", encoding="utf-8")
     with pytest.raises(SystemExit):
-        main(["--policy-module", str(module_path), "list-policies"])
+        main(["--policy-module", str(module_path), "list", "policies"])
     assert "cannot import policy module" in capsys.readouterr().err

@@ -23,7 +23,8 @@ import pytest
 from _helpers import tiny_config
 from repro.experiments.engine import result_to_record
 from repro.experiments.setup import run_experiment
-from repro.service import ExperimentService, ResultStore, ServiceClient
+from repro.service import ResultStore, ServiceClient
+from repro.service.daemon import ExperimentService
 
 
 @pytest.fixture(scope="session")

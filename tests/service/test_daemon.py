@@ -21,6 +21,7 @@ import pytest
 from _helpers import FailRunner, GateRunner, tiny_config
 from repro.experiments.engine import config_key, result_to_record
 from repro.experiments.setup import run_experiment
+from repro.metrics import collector
 from repro.metrics.collector import ExperimentMetrics
 from repro.service import ResultStore, ServiceError
 from repro.service import protocol
@@ -470,7 +471,8 @@ def test_store_served_replies_recompute_no_digest_or_summary(
     def forbidden(*args, **kwargs):
         raise AssertionError("a store-served reply recomputed its digest or summary")
 
-    monkeypatch.setattr(protocol, "run_digest", forbidden)
+    # protocol imports the collector's digest helper when it runs.
+    monkeypatch.setattr(collector, "run_digest", forbidden)
     monkeypatch.setattr(ExperimentMetrics, "from_dict", forbidden)
     monkeypatch.setattr(ExperimentMetrics, "summary", forbidden)
     with handle.client() as client:

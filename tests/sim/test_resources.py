@@ -1,15 +1,11 @@
-"""Unit tests of the resource primitives (Resource, Container, Store)."""
+"""Unit tests of the counted resource primitive."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import Container, Environment, FilterStore, PriorityResource, Resource, Store
-
-
-# ---------------------------------------------------------------------------
-# Resource
-# ---------------------------------------------------------------------------
+from repro.sim import Environment
+from repro.sim.resources import Resource
 
 
 def test_resource_capacity_must_be_positive():
@@ -69,170 +65,3 @@ def test_resource_release_outside_with_block():
     env.run()
     assert process.value == 3
     assert resource.count == 0
-
-
-def test_priority_resource_serves_lower_priority_value_first():
-    env = Environment()
-    resource = PriorityResource(env, capacity=1)
-    order = []
-
-    def blocker(env, resource):
-        with resource.request(priority=0) as request:
-            yield request
-            yield env.timeout(10)
-
-    def user(env, resource, name, priority, delay):
-        yield env.timeout(delay)
-        with resource.request(priority=priority) as request:
-            yield request
-            order.append(name)
-            yield env.timeout(1)
-
-    env.process(blocker(env, resource))
-    env.process(user(env, resource, "low-importance", 5, 1))
-    env.process(user(env, resource, "high-importance", 1, 2))
-    env.run()
-    assert order == ["high-importance", "low-importance"]
-
-
-# ---------------------------------------------------------------------------
-# Container
-# ---------------------------------------------------------------------------
-
-
-def test_container_initial_level_and_bounds():
-    env = Environment()
-    container = Container(env, capacity=10, init=4)
-    assert container.level == 4
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=9)
-
-
-def test_container_get_blocks_until_put():
-    env = Environment()
-    container = Container(env, capacity=100, init=0)
-
-    def producer(env, container):
-        yield env.timeout(5)
-        yield container.put(8)
-
-    def consumer(env, container):
-        yield container.get(6)
-        return env.now
-
-    consumer_proc = env.process(consumer(env, container))
-    env.process(producer(env, container))
-    env.run()
-    assert consumer_proc.value == 5
-    assert container.level == 2
-
-
-def test_container_put_blocks_when_full():
-    env = Environment()
-    container = Container(env, capacity=10, init=9)
-
-    def producer(env, container):
-        yield container.put(5)
-        return env.now
-
-    def consumer(env, container):
-        yield env.timeout(4)
-        yield container.get(6)
-
-    producer_proc = env.process(producer(env, container))
-    env.process(consumer(env, container))
-    env.run()
-    assert producer_proc.value == 4
-    assert container.level == 8
-
-
-def test_container_rejects_non_positive_amounts():
-    env = Environment()
-    container = Container(env, capacity=10, init=5)
-    with pytest.raises(ValueError):
-        container.put(0)
-    with pytest.raises(ValueError):
-        container.get(-1)
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-
-def test_store_is_fifo():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env, store):
-        for item in ("first", "second", "third"):
-            yield store.put(item)
-            yield env.timeout(1)
-
-    def consumer(env, store):
-        for _ in range(3):
-            item = yield store.get()
-            received.append(item)
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert received == ["first", "second", "third"]
-
-
-def test_store_capacity_blocks_puts():
-    env = Environment()
-    store = Store(env, capacity=1)
-
-    def producer(env, store):
-        yield store.put("a")
-        yield store.put("b")
-        return env.now
-
-    def consumer(env, store):
-        yield env.timeout(10)
-        yield store.get()
-
-    producer_proc = env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert producer_proc.value == 10
-
-
-def test_filter_store_returns_matching_item():
-    env = Environment()
-    store = FilterStore(env)
-
-    def producer(env, store):
-        for item in (1, 2, 3, 4):
-            yield store.put(item)
-
-    def consumer(env, store):
-        item = yield store.get(lambda value: value % 2 == 0)
-        return item
-
-    consumer_proc = env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert consumer_proc.value == 2
-    assert store.items == [1, 3, 4]
-
-
-def test_filter_store_waits_for_matching_item():
-    env = Environment()
-    store = FilterStore(env)
-
-    def producer(env, store):
-        yield store.put("wrong")
-        yield env.timeout(5)
-        yield store.put("right")
-
-    def consumer(env, store):
-        item = yield store.get(lambda value: value == "right")
-        return (item, env.now)
-
-    consumer_proc = env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert consumer_proc.value == ("right", 5)

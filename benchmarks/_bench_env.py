@@ -29,3 +29,16 @@ def bench_procs() -> int:
     they may fan out (``REPRO_BENCH_PROCS=4``) to cut harness wall-clock.
     """
     return int(os.environ.get("REPRO_BENCH_PROCS", 1))
+
+
+def run_at_bench_seed(scenario, job_count: int, *, jobs: int = 1):
+    """Run *scenario* (a name or a spec) at the bench seed.
+
+    The results are keyed by the bare variant labels the assertions use: one
+    seed ran, so stripping the ``@seed<N>`` suffix of a non-default
+    ``REPRO_BENCH_SEED`` keeps them unique.
+    """
+    from repro.experiments.scenarios import run_scenario, strip_seed_suffix
+
+    results = run_scenario(scenario, job_count=job_count, seed=bench_seed(), jobs=jobs)
+    return {strip_seed_suffix(label): result for label, result in results.items()}

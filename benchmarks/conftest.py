@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from _bench_env import bench_jobs, bench_procs, bench_seed
+from _bench_env import bench_jobs, bench_procs, bench_seed, run_at_bench_seed
 
 __all__ = ["bench_jobs", "bench_procs", "bench_seed"]
 
@@ -22,14 +22,10 @@ __all__ = ["bench_jobs", "bench_procs", "bench_seed"]
 @pytest.fixture(scope="session")
 def figure7_results():
     """The four Figure 7 runs, shared by all Figure 7 panel benchmarks."""
-    from repro.experiments.figure7 import run_figure7
-
-    return run_figure7(job_count=bench_jobs(), seed=bench_seed(), jobs=bench_procs())
+    return run_at_bench_seed("figure7", bench_jobs(), jobs=bench_procs())
 
 
 @pytest.fixture(scope="session")
 def figure8_results():
     """The four Figure 8 runs, shared by all Figure 8 panel benchmarks."""
-    from repro.experiments.figure8 import run_figure8
-
-    return run_figure8(job_count=bench_jobs(), seed=bench_seed(), jobs=bench_procs())
+    return run_at_bench_seed("figure8", bench_jobs(), jobs=bench_procs())

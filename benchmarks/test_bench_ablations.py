@@ -12,17 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablations import (
-    ablation_report,
-    run_approach_ablation,
-    run_background_load_ablation,
-    run_overhead_ablation,
-    run_placement_ablation,
-    run_policy_ablation,
-    run_threshold_ablation,
-)
+from repro.experiments.scenarios import scenario_report
 
-from _bench_env import bench_jobs, bench_seed
+from _bench_env import bench_jobs, run_at_bench_seed
 
 pytestmark = pytest.mark.bench  # deselected by default (see pyproject.toml); run with -m bench
 
@@ -35,11 +27,11 @@ def _jobs() -> int:
 def test_bench_ablation_approach(benchmark):
     """PRA versus PWA on the same high-load workload."""
     results = benchmark.pedantic(
-        lambda: run_approach_ablation(job_count=_jobs(), seed=bench_seed()),
+        lambda: run_at_bench_seed("ablation-approach", _jobs()),
         rounds=1,
         iterations=1,
     )
-    print("\n" + ablation_report(results, title="Ablation: PRA vs PWA (EGS, W'm)"))
+    print("\n" + scenario_report("ablation-approach", results))
     summaries = {label: r.metrics.summary() for label, r in results.items()}
     pra = next(v for k, v in summaries.items() if k.startswith("PRA"))
     pwa = next(v for k, v in summaries.items() if k.startswith("PWA"))
@@ -55,11 +47,11 @@ def test_bench_ablation_approach(benchmark):
 def test_bench_ablation_policies(benchmark):
     """FPSMA and EGS against the equipartition/folding baselines and no malleability."""
     results = benchmark.pedantic(
-        lambda: run_policy_ablation(job_count=_jobs(), seed=bench_seed()),
+        lambda: run_at_bench_seed("ablation-policy", _jobs()),
         rounds=1,
         iterations=1,
     )
-    print("\n" + ablation_report(results, title="Ablation: malleability policies (PRA, Wm)"))
+    print("\n" + scenario_report("ablation-policy", results))
     summaries = {label: r.metrics.summary() for label, r in results.items()}
     none = next(v for k, v in summaries.items() if k.startswith("no-malleability"))
     for label, summary in summaries.items():
@@ -73,11 +65,11 @@ def test_bench_ablation_policies(benchmark):
 def test_bench_ablation_threshold(benchmark):
     """Effect of the per-cluster idle threshold reserved for local users."""
     results = benchmark.pedantic(
-        lambda: run_threshold_ablation(job_count=_jobs(), seed=bench_seed()),
+        lambda: run_at_bench_seed("ablation-threshold", _jobs()),
         rounds=1,
         iterations=1,
     )
-    print("\n" + ablation_report(results, title="Ablation: grow threshold (EGS, PRA, Wm)"))
+    print("\n" + scenario_report("ablation-threshold", results))
     summaries = {label: r.metrics.summary() for label, r in results.items()}
     # A larger reserve leaves less room to grow.
     assert (
@@ -89,11 +81,11 @@ def test_bench_ablation_threshold(benchmark):
 def test_bench_ablation_overhead(benchmark):
     """Effect of the GRAM submission latency on the benefit of malleability."""
     results = benchmark.pedantic(
-        lambda: run_overhead_ablation(job_count=_jobs(), seed=bench_seed()),
+        lambda: run_at_bench_seed("ablation-overhead", _jobs()),
         rounds=1,
         iterations=1,
     )
-    print("\n" + ablation_report(results, title="Ablation: GRAM grow/shrink overhead (EGS, PRA, Wm)"))
+    print("\n" + scenario_report("ablation-overhead", results))
     summaries = {label: r.metrics.summary() for label, r in results.items()}
     cheap = summaries["gram-latency=0s"]
     expensive = summaries["gram-latency=120s"]
@@ -104,11 +96,11 @@ def test_bench_ablation_overhead(benchmark):
 def test_bench_ablation_placement(benchmark):
     """Interaction between the placement policies and malleability."""
     results = benchmark.pedantic(
-        lambda: run_placement_ablation(job_count=_jobs(), seed=bench_seed()),
+        lambda: run_at_bench_seed("ablation-placement", _jobs()),
         rounds=1,
         iterations=1,
     )
-    print("\n" + ablation_report(results, title="Ablation: placement policies (EGS, PRA, Wm)"))
+    print("\n" + scenario_report("ablation-placement", results))
     for label, result in results.items():
         assert result.metrics.unfinished_jobs == 0, label
         assert result.metrics.job_count == _jobs(), label
@@ -117,11 +109,11 @@ def test_bench_ablation_placement(benchmark):
 def test_bench_ablation_background(benchmark):
     """Resilience to background load submitted directly to the local RMs."""
     results = benchmark.pedantic(
-        lambda: run_background_load_ablation(job_count=_jobs(), seed=bench_seed()),
+        lambda: run_at_bench_seed("ablation-background", _jobs()),
         rounds=1,
         iterations=1,
     )
-    print("\n" + ablation_report(results, title="Ablation: background load (EGS, PRA, Wm)"))
+    print("\n" + scenario_report("ablation-background", results))
     summaries = {label: r.metrics.summary() for label, r in results.items()}
     # The resilience claim: every KOALA job still completes under heavy
     # background load, and mean execution times do not blow up relative to an

@@ -11,10 +11,10 @@ import pytest
 
 import numpy as np
 
-from repro.experiments.figure7 import figure7_report, run_figure7
+from repro.experiments.scenarios import scenario_report
 from repro.metrics.reports import cdf_probe_table, comparison_table
 
-from _bench_env import bench_jobs, bench_seed
+from _bench_env import bench_jobs, run_at_bench_seed
 
 pytestmark = pytest.mark.bench  # deselected by default (see pyproject.toml); run with -m bench
 
@@ -22,12 +22,12 @@ pytestmark = pytest.mark.bench  # deselected by default (see pyproject.toml); ru
 def test_bench_figure7_experiments(benchmark):
     """Time the full set of four Figure 7 scheduler runs and print the report."""
     results = benchmark.pedantic(
-        lambda: run_figure7(job_count=bench_jobs(), seed=bench_seed()),
+        lambda: run_at_bench_seed("figure7", bench_jobs()),
         rounds=1,
         iterations=1,
     )
     print()
-    print(figure7_report(results))
+    print(scenario_report("figure7", results))
     assert all(result.all_done for result in results.values())
 
 

@@ -11,11 +11,10 @@ import pytest
 
 import numpy as np
 
-from repro.experiments.figure7 import run_figure7
-from repro.experiments.figure8 import figure8_report, run_figure8
+from repro.experiments.scenarios import figure7_scenario, figure8_scenario, scenario_report
 from repro.metrics.reports import cdf_probe_table, comparison_table
 
-from _bench_env import bench_jobs, bench_seed
+from _bench_env import bench_jobs, run_at_bench_seed
 
 pytestmark = pytest.mark.bench  # deselected by default (see pyproject.toml); run with -m bench
 
@@ -23,12 +22,12 @@ pytestmark = pytest.mark.bench  # deselected by default (see pyproject.toml); ru
 def test_bench_figure8_experiments(benchmark):
     """Time the full set of four Figure 8 scheduler runs and print the report."""
     results = benchmark.pedantic(
-        lambda: run_figure8(job_count=bench_jobs(), seed=bench_seed()),
+        lambda: run_at_bench_seed("figure8", bench_jobs()),
         rounds=1,
         iterations=1,
     )
     print()
-    print(figure8_report(results))
+    print(scenario_report("figure8", results))
     assert all(result.all_done for result in results.values())
 
 
@@ -158,8 +157,8 @@ def test_bench_figure8_vs_figure7_slowdown(benchmark):
     jobs = max(60, bench_jobs() // 2)
 
     def run_both():
-        pra = run_figure7(job_count=jobs, seed=bench_seed(), combinations=(("FPSMA", "Wm"),))
-        pwa = run_figure8(job_count=jobs, seed=bench_seed(), combinations=(("FPSMA", "W'm"),))
+        pra = run_at_bench_seed(figure7_scenario((("FPSMA", "Wm"),)), jobs)
+        pwa = run_at_bench_seed(figure8_scenario((("FPSMA", "W'm"),)), jobs)
         return pra["FPSMA/Wm"].metrics, pwa["FPSMA/W'm"].metrics
 
     pra_metrics, pwa_metrics = benchmark.pedantic(run_both, rounds=1, iterations=1)

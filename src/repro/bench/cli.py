@@ -23,10 +23,6 @@ metrics digest or a >15% wall-clock regression (what CI runs on every PR)::
 Accept the current numbers as the new baselines (commit the result)::
 
     repro-bench figure7 --job-count 40 --update
-
-Print the 25 hottest functions (by own time) of a scenario's sweep::
-
-    repro-bench figure7 --job-count 40 --profile 25
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ from repro.bench.baseline import (
 from repro.bench.runner import (
     BenchRecord,
     benchable_scenarios,
-    profile_bench_data,
-    profile_report,
     records_report,
     run_bench,
 )
@@ -128,23 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default: benchmarks measure the simulator, not the cache)",
     )
     parser.add_argument(
-        "--profile",
-        type=int,
-        default=None,
-        metavar="N",
-        help="profile each scenario under cProfile and print its top-N "
-        "hotspots instead of benchmarking (cannot be combined with "
-        "--check/--update: profiled timings are diagnostics, not "
-        "measurements)",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="FILE",
-        default=None,
-        help="with --profile: also write the hotspot data as JSON to FILE "
-        "(a list with one entry per profiled scenario; '-' for stdout)",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list benchable scenarios and exit"
     )
     return parser
@@ -188,44 +165,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     baseline_dir = (
         args.baseline_dir if args.baseline_dir is not None else default_baseline_dir()
     )
-
-    if args.profile_out is not None and args.profile is None:
-        parser.error("--profile-out requires --profile")
-        return 2  # pragma: no cover - parser.error raises
-
-    if args.profile is not None:
-        if args.check or args.update:
-            parser.error(
-                "--profile is a diagnostic and cannot gate or update baselines; "
-                "drop --check/--update"
-            )
-            return 2  # pragma: no cover - parser.error raises
-        if args.profile < 1:
-            parser.error("--profile takes the number of hotspots to print (>= 1)")
-            return 2  # pragma: no cover - parser.error raises
-        profiles: List[dict] = []
-        for name in _resolve_scenarios(args.scenarios):
-            try:
-                data = profile_bench_data(
-                    name, job_count=job_count, seed=seed, top=args.profile
-                )
-            except ValueError as error:
-                parser.error(str(error))
-                return 2  # pragma: no cover - parser.error raises
-            profiles.append(data)
-            print(profile_report(data))
-            print()
-        if args.profile_out is not None:
-            import json
-
-            payload = json.dumps(profiles, indent=2, sort_keys=True)
-            if args.profile_out == "-":
-                print(payload)
-            else:
-                with open(args.profile_out, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-                print(f"wrote profile data for {len(profiles)} scenario(s) to {args.profile_out}")
-        return 0
 
     records: List[BenchRecord] = []
     for name in _resolve_scenarios(args.scenarios):

@@ -217,109 +217,6 @@ def run_bench(
     )
 
 
-def profile_bench_data(
-    scenario: str,
-    *,
-    job_count: Optional[int] = None,
-    seed: int = 0,
-    top: int = 20,
-) -> Dict[str, Any]:
-    """Run *scenario* under :mod:`cProfile`; returns a JSON-shaped summary.
-
-    A diagnostic, not a measurement: the profiler inflates wall-clock by a
-    large constant factor, so profiled runs are never written as records or
-    gated against baselines.  The ``hotspots`` list ranks functions by total
-    time spent in their own frames (``tottime``) — the quantity an
-    optimisation can actually attack.  :func:`profile_report` renders the
-    same data as text; ``repro-bench --profile-out`` writes it as JSON for
-    machine consumption (regression dashboards, flamegraph tooling).
-    """
-    import cProfile
-    import pstats
-
-    if top < 1:
-        raise ValueError("top must be at least 1")
-    spec = get_scenario(scenario)
-    if spec.is_static:
-        raise ValueError(
-            f"scenario {scenario!r} is static (report-only) and cannot be profiled"
-        )
-    pairs = spec.expand(job_count=job_count, seed=seed)
-    workloads: Dict[Tuple[str, int, int], WorkloadSpec] = {}
-    profiler = cProfile.Profile()
-    for _label, config in pairs:
-        key = (config.workload, config.seed, config.job_count)
-        workload = workloads.get(key)
-        profiler.enable()
-        if workload is None:
-            workloads[key] = workload = build_workload(
-                config, RandomStreams(seed=config.seed)
-            )
-        run_experiment(config, workload=workload)
-        profiler.disable()
-    stats = pstats.Stats(profiler)
-    total_calls = int(getattr(stats, "total_calls", 0))
-    total_time = float(getattr(stats, "total_tt", 0.0))
-    hotspots: List[Dict[str, Any]] = []
-    # stats.stats maps (file, line, function) -> (cc, nc, tottime, cumtime, callers).
-    ranked = sorted(
-        stats.stats.items(), key=lambda item: item[1][2], reverse=True  # type: ignore[attr-defined]
-    )
-    for (filename, line, function), (cc, nc, tottime, cumtime, _callers) in ranked[:top]:
-        hotspots.append(
-            {
-                "function": function,
-                "file": filename,
-                "line": line,
-                "calls": int(nc),
-                "primitive_calls": int(cc),
-                "tottime": tottime,
-                "cumtime": cumtime,
-            }
-        )
-    return {
-        "scenario": spec.name,
-        "runs": len(pairs),
-        "job_count": job_count if job_count is not None else spec.default_job_count,
-        "seed": seed,
-        "total_calls": total_calls,
-        "total_time": total_time,
-        "top": top,
-        "hotspots": hotspots,
-    }
-
-
-def profile_report(data: Dict[str, Any]) -> str:
-    """Render one :func:`profile_bench_data` summary as a text table."""
-    lines = [
-        f"profile: {data['scenario']} ({data['runs']} runs, "
-        f"jobs={data['job_count']}, seed={data['seed']}) "
-        f"— top {data['top']} by own time",
-        f"  {data['total_calls']} calls in {data['total_time']:.3f}s",
-        f"  {'tottime':>9} {'cumtime':>9} {'calls':>9}  function",
-    ]
-    for spot in data["hotspots"]:
-        where = f"{spot['function']}  ({spot['file']}:{spot['line']})"
-        lines.append(
-            f"  {spot['tottime']:>9.4f} {spot['cumtime']:>9.4f} "
-            f"{spot['calls']:>9}  {where}"
-        )
-    return "\n".join(lines)
-
-
-def profile_bench(
-    scenario: str,
-    *,
-    job_count: Optional[int] = None,
-    seed: int = 0,
-    top: int = 20,
-) -> str:
-    """Profile *scenario* and return the text report (see :func:`profile_bench_data`)."""
-    return profile_report(
-        profile_bench_data(scenario, job_count=job_count, seed=seed, top=top)
-    )
-
-
 def load_record(path: Union[str, Path]) -> BenchRecord:
     """Read a ``BENCH_*.json`` file back into a :class:`BenchRecord`."""
     return BenchRecord.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

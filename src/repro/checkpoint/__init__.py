@@ -2,9 +2,9 @@
 
 Public surface of the checkpoint subsystem:
 
-* envelopes and stores — :class:`CheckpointStore`, :func:`save_checkpoint`,
-  :func:`load_checkpoint`, the :data:`CHECKPOINT_FORMAT` schema version and
-  the :class:`CheckpointError` hierarchy;
+* envelopes — :func:`save_checkpoint`, :func:`load_checkpoint`, the
+  :data:`CHECKPOINT_FORMAT` schema version and the :class:`CheckpointError`
+  hierarchy;
 * capture — :func:`capture_state` at a :func:`advance_to_safe_point` safe
   point, with :func:`native_unsupported_reason` describing the native
   envelope and :func:`kernel_fingerprint` / :func:`step_until` as the shared
@@ -29,10 +29,8 @@ from repro.checkpoint.capture import (
 from repro.checkpoint.envelope import (
     CHECKPOINT_FORMAT,
     CheckpointError,
-    CheckpointStore,
     CheckpointUnsupported,
     RestoreError,
-    checkpoint_key,
     load_checkpoint,
     save_checkpoint,
     validate_envelope,
@@ -53,7 +51,6 @@ from repro.experiments.setup import SimulationRun
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CheckpointError",
-    "CheckpointStore",
     "CheckpointUnsupported",
     "DEFAULT_MIN_GAP",
     "NATIVE_PLACEMENT_POLICIES",
@@ -63,7 +60,6 @@ __all__ = [
     "SimulationRun",
     "advance_to_safe_point",
     "capture_state",
-    "checkpoint_key",
     "kernel_fingerprint",
     "load_checkpoint",
     "native_unsupported_reason",

@@ -1,28 +1,20 @@
-"""Checkpoint envelopes: schema-versioned files and a content-addressed store.
+"""Checkpoint envelopes: schema-versioned JSON files.
 
-A checkpoint is a plain JSON document — the same durability conventions as
-the result store (:mod:`repro.service.store`): a ``format`` version stamped
-into every envelope, atomic write-into-place, flock-guarded store access and
-corrupt-file tolerance.  Two persistence surfaces share the format:
-
-* :func:`save_checkpoint` / :func:`load_checkpoint` — one explicit file,
-  the CLI's ``--checkpoint`` surface;
-* :class:`CheckpointStore` — a content-addressed directory keyed by
-  ``sha256(config, simulated time)``, built on the service layer's
-  :class:`~repro.service.store.ResultStore` so budget-based eviction,
-  locking and schema-mismatch handling are inherited, not re-implemented.
+A checkpoint is a plain JSON document with a ``format`` version stamped
+into every envelope, written atomically into place by
+:func:`save_checkpoint` and read back, validated, by
+:func:`load_checkpoint`.  ``repro-cli checkpointed --checkpoint-path`` and
+the daemon's ``checkpointed`` operation write checkpoints as such files,
+and ``--resume`` reads them back.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
-
-from repro.service.store import ResultStore
+from typing import Any, Dict, Union
 
 #: Schema version of checkpoint envelopes.  Bump on any incompatible change
 #: to the captured-state layout; loaders refuse other generations loudly
@@ -46,16 +38,6 @@ class CheckpointUnsupported(CheckpointError):
 
 class RestoreError(CheckpointError):
     """A checkpoint could not be turned back into a consistent run."""
-
-
-def checkpoint_key(config_data: Dict[str, Any], time_hex: str) -> str:
-    """Content address of a checkpoint: SHA-256 over config + capture time."""
-    canonical = json.dumps(config_data, sort_keys=True, default=str)
-    digest = hashlib.sha256()
-    digest.update(canonical.encode("utf-8"))
-    digest.update(b"|")
-    digest.update(str(time_hex).encode("utf-8"))
-    return digest.hexdigest()
 
 
 def validate_envelope(data: Any) -> Dict[str, Any]:
@@ -104,56 +86,3 @@ def load_checkpoint(path: Union[str, Path]) -> Dict[str, Any]:
     except (OSError, json.JSONDecodeError) as error:
         raise RestoreError(f"checkpoint file {path} is unreadable: {error}") from None
     return validate_envelope(data)
-
-
-class CheckpointStore:
-    """Content-addressed checkpoint directory.
-
-    A thin typed wrapper over :class:`~repro.service.store.ResultStore`:
-    checkpoints are keyed by ``(config, capture time)``, so periodic
-    checkpointing of one long run files each boundary under its own key and
-    re-running the same configuration overwrites (rather than duplicates)
-    its checkpoints.
-    """
-
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        *,
-        budget_bytes: Optional[int] = None,
-    ) -> None:
-        self._store = ResultStore(directory, budget_bytes=budget_bytes)
-        self.directory = self._store.directory
-
-    def key_for(self, data: Dict[str, Any]) -> str:
-        """The content address of the envelope *data*."""
-        validate_envelope(data)
-        return checkpoint_key(data["config"], data["time"])
-
-    def save(self, data: Dict[str, Any]) -> str:
-        """Persist the envelope; returns its key."""
-        key = self.key_for(data)
-        self._store.put(key, data)
-        return key
-
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        """The envelope stored under *key* (``None`` on miss/corruption)."""
-        record = self._store.get(key)
-        if record is None:
-            return None
-        return validate_envelope(record)
-
-    def path_for(self, key: str) -> Path:
-        """Where the envelope for *key* lives on disk."""
-        return self._store.path_for(key)
-
-    def keys(self) -> List[str]:
-        """Keys currently stored, sorted."""
-        return sorted(self._store.keys())
-
-    def clear(self) -> int:
-        """Delete every stored checkpoint; returns how many were removed."""
-        return self._store.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<CheckpointStore at {str(self.directory)!r}>"

@@ -23,7 +23,7 @@ from repro.checkpoint.capture import (
     native_unsupported_reason,
     step_until,
 )
-from repro.checkpoint.envelope import CheckpointStore, save_checkpoint
+from repro.checkpoint.envelope import save_checkpoint
 from repro.experiments.setup import ExperimentConfig, SimulationRun, gc_paused
 from repro.metrics.windowed import WindowedMetrics
 from repro.workloads.spec import WorkloadSpec
@@ -37,7 +37,6 @@ def run_checkpointed(
     config: ExperimentConfig,
     *,
     checkpoint_every: float,
-    store: Optional[CheckpointStore] = None,
     path: Optional[Union[str, Path]] = None,
     workload: Optional[WorkloadSpec] = None,
     run: Optional[SimulationRun] = None,
@@ -47,9 +46,9 @@ def run_checkpointed(
     Finished jobs are drained into a streaming
     :class:`~repro.metrics.windowed.WindowedMetrics` window at every
     checkpoint boundary, so the resident set stays flat however long the run
-    is.  Checkpoints are persisted to *store* (content-addressed) and/or as
-    numbered files derived from *path* (``path``'s stem gains a ``-NNNN``
-    index per boundary); with neither, the envelopes are only returned.
+    is.  Checkpoints are persisted as numbered files derived from *path*
+    (``path``'s stem gains a ``-NNNN`` index per boundary); without it, the
+    envelopes are only returned.
     The capture mode follows the configuration: native when
     :func:`~repro.checkpoint.capture.native_unsupported_reason` finds
     nothing against the run's config and workload, replay otherwise (every
@@ -60,7 +59,7 @@ def run_checkpointed(
     to resume a previous invocation; its configuration must match *config*.
 
     Returns a summary dict: the merged window, completion flags, checkpoint
-    keys/paths and the last envelope.
+    paths and the last envelope.
     """
     if checkpoint_every <= 0:
         raise ValueError("checkpoint_every must be positive")
@@ -75,7 +74,6 @@ def run_checkpointed(
     limit = float(config.time_limit)
     interval = float(checkpoint_every)
     boundary = env.now + interval
-    keys: List[str] = []
     paths: List[str] = []
     last_envelope: Optional[Dict[str, Any]] = None
     path = Path(path) if path is not None else None
@@ -99,8 +97,6 @@ def run_checkpointed(
                 break
             last_envelope = capture_state(run, mode=mode)
             captured += 1
-            if store is not None:
-                keys.append(store.save(last_envelope))
             if path is not None:
                 suffix = path.suffix or ".json"
                 target = path.with_name(f"{path.stem}-{file_index:04d}{suffix}")
@@ -116,7 +112,6 @@ def run_checkpointed(
         "all_done": run.done,
         "simulated_time": env.now,
         "events_processed": env.processed_events,
-        "checkpoint_keys": keys,
         "checkpoint_paths": paths,
         "checkpoints": captured,
         "last_checkpoint": last_envelope,

@@ -691,11 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(FILE's stem gains -NNNN per boundary)",
     )
     ckpt.add_argument(
-        "--checkpoint-store",
-        metavar="DIR",
-        help="persist checkpoints content-addressed under DIR",
-    )
-    ckpt.add_argument(
         "--resume",
         metavar="FILE",
         help="restore this checkpoint file first and continue from it",
@@ -984,7 +979,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ]
         report = "\n".join(lines)
     elif args.command == "checkpointed":
-        from repro.checkpoint import CheckpointError, CheckpointStore, resume_run, run_checkpointed
+        from repro.checkpoint import CheckpointError, resume_run, run_checkpointed
         from repro.experiments.scenarios import get_scenario
 
         try:
@@ -1007,11 +1002,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out = run_checkpointed(
                 config,
                 checkpoint_every=args.every,
-                store=(
-                    CheckpointStore(args.checkpoint_store)
-                    if args.checkpoint_store
-                    else None
-                ),
                 path=args.checkpoint_path,
                 run=resumed,
             )
@@ -1029,8 +1019,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ]
         for target in out["checkpoint_paths"]:
             lines.append(f"  wrote {target}")
-        for key in out["checkpoint_keys"]:
-            lines.append(f"  stored {key}")
         report = "\n".join(lines)
     elif args.command == "custom":
         from repro.experiments.setup import ExperimentConfig, run_experiment

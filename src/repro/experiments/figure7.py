@@ -19,11 +19,11 @@ Wm.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
-from repro.experiments.setup import ExperimentConfig, ExperimentResult
+from repro.experiments.setup import ExperimentResult
 from repro.metrics.asciiplot import cdf_plot
-from repro.metrics.collector import ExperimentMetrics
 from repro.metrics.reports import cdf_probe_table, comparison_table, summary_table
 
 #: The policy/workload combinations of Figure 7, in the paper's legend order.
@@ -34,115 +34,78 @@ FIGURE7_COMBINATIONS = (
     ("EGS", "Wmr"),
 )
 
-
-def figure7_config(
-    policy: str,
-    workload: str,
-    *,
-    job_count: int = 300,
-    seed: int = 0,
-    grow_threshold: int = 0,
-) -> ExperimentConfig:
-    """Configuration of one Figure 7 run (PRA approach)."""
-    return ExperimentConfig(
-        name=f"figure7-{policy}-{workload}",
-        workload=workload,
-        job_count=job_count,
-        malleability_policy=policy,
-        approach="PRA",
-        placement_policy="WF",
-        seed=seed,
-        grow_threshold=grow_threshold,
-    )
+#: Panels (a)-(d) of Figures 7 and 8: the per-job CDF each one probes and
+#: what its rows count.
+_CDF_PANELS = {
+    "a": ("average_allocation", "average processors <= x"),
+    "b": ("maximum_allocation", "maximum processors <= x"),
+    "c": ("execution_time", "execution time <= x seconds"),
+    "d": ("response_time", "response time <= x seconds"),
+}
 
 
-def run_figure7(
-    *,
-    job_count: int = 300,
-    seed: int = 0,
-    combinations: Sequence[tuple] = FIGURE7_COMBINATIONS,
-    grow_threshold: int = 0,
-    jobs: int = 1,
-    cache=None,
-    refresh: bool = False,
-) -> Dict[str, ExperimentResult]:
-    """Run all Figure 7 combinations; returns results keyed by ``"policy/workload"``.
+@dataclass(frozen=True)
+class SixPanels:
+    """What differs between the six-panel reports of Figures 7 and 8.
 
-    A thin wrapper over the scenario engine: ``jobs`` fans the runs out over
-    worker processes and ``cache`` (a directory or
-    :class:`~repro.experiments.engine.ResultCache`) skips configurations that
-    already ran.
+    ``probes`` holds the x probes of panels (a)-(d).  ``plot`` is the letter
+    of the CDF panel that is also drawn as a plot.  ``activity`` names the
+    :class:`~repro.metrics.collector.ExperimentMetrics` method whose
+    cumulative ``(times, counts)`` series panel (f) samples.
     """
-    from repro.experiments.scenarios import figure7_scenario, run_scenario, strip_seed_suffix
 
-    results = run_scenario(
-        figure7_scenario(combinations),
-        job_count=job_count,
-        seed=seed,
-        jobs=jobs,
-        cache=cache,
-        refresh=refresh,
-        overrides={"grow_threshold": grow_threshold} if grow_threshold else None,
-    )
-    # One root seed => the bare "policy/workload" key is still unique.
-    return {strip_seed_suffix(label): result for label, result in results.items()}
+    figure: int
+    approach: str
+    probes: Tuple[Sequence[float], ...]
+    plot: str
+    plot_caption: str
+    plot_x_label: str
+    activity: str
+    activity_caption: str
 
 
-def _metrics(results: Dict[str, ExperimentResult]) -> Dict[str, ExperimentMetrics]:
-    return {label: result.metrics for label, result in results.items()}
+#: Figure 7's panels, rendered by :func:`six_panel_report`.
+FIGURE7_PANELS = SixPanels(
+    figure=7,
+    approach="PRA",
+    probes=(
+        (2, 5, 10, 15, 20, 25, 30),
+        (2, 4, 8, 16, 24, 32, 40, 46),
+        (60, 120, 200, 300, 400, 600, 800, 1200),
+        (60, 120, 200, 300, 400, 600, 800, 1200),
+    ),
+    plot="c",
+    plot_caption="execution time CDFs",
+    plot_x_label="execution time (s)",
+    activity="cumulative_grow_messages",
+    activity_caption="grow messages",
+)
 
 
-def figure7_report(results: Dict[str, ExperimentResult], *, samples: int = 8) -> str:
-    """Plain-text rendering of all six panels of Figure 7."""
-    metrics = _metrics(results)
-    sections = [summary_table(metrics, title="Figure 7 - summary (PRA approach)")]
-
-    sections.append(
-        cdf_probe_table(
-            metrics,
-            "average_allocation",
-            probes=[2, 5, 10, 15, 20, 25, 30],
-            title="Figure 7(a) - % of jobs with average processors <= x",
+def six_panel_report(results: Dict[str, ExperimentResult], *, panels: SixPanels) -> str:
+    """Plain-text rendering of all six panels of Figure 7 or Figure 8."""
+    metrics = {label: result.metrics for label, result in results.items()}
+    figure = f"Figure {panels.figure}"
+    sections = [summary_table(metrics, title=f"{figure} - summary ({panels.approach} approach)")]
+    for (panel, (metric, rows)), probes in zip(_CDF_PANELS.items(), panels.probes):
+        sections.append(
+            cdf_probe_table(
+                metrics, metric, probes=probes, title=f"{figure}({panel}) - % of jobs with {rows}"
+            )
         )
-    )
-    sections.append(
-        cdf_probe_table(
-            metrics,
-            "maximum_allocation",
-            probes=[2, 4, 8, 16, 24, 32, 40, 46],
-            title="Figure 7(b) - % of jobs with maximum processors <= x",
-        )
-    )
-    sections.append(
-        cdf_probe_table(
-            metrics,
-            "execution_time",
-            probes=[60, 120, 200, 300, 400, 600, 800, 1200],
-            title="Figure 7(c) - % of jobs with execution time <= x seconds",
-        )
-    )
-    sections.append(
-        cdf_probe_table(
-            metrics,
-            "response_time",
-            probes=[60, 120, 200, 300, 400, 600, 800, 1200],
-            title="Figure 7(d) - % of jobs with response time <= x seconds",
-        )
-    )
+    plotted = _CDF_PANELS[panels.plot][0]
     sections.append(
         cdf_plot(
-            {label: m.execution_time_cdf() for label, m in metrics.items()},
-            title="Figure 7(c) as a plot - execution time CDFs",
-            x_label="execution time (s)",
+            {label: getattr(m, f"{plotted}_cdf")() for label, m in metrics.items()},
+            title=f"{figure}({panels.plot}) as a plot - {panels.plot_caption}",
+            x_label=panels.plot_x_label,
         )
     )
 
     # Panels (e) and (f): time series sampled over the span of the runs.
-    horizon = max(
-        (result.workload_duration for result in results.values()), default=0.0
-    )
+    horizon = max((result.workload_duration for result in results.values()), default=0.0)
     window_end = max(horizon, 1.0)
-    fractions = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0)[:samples]
+    fractions = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
     probes = [window_end * frac for frac in fractions]
     utilization = {
         label: [
@@ -155,13 +118,13 @@ def figure7_report(results: Dict[str, ExperimentResult], *, samples: int = 8) ->
         comparison_table(
             utilization,
             probes,
-            title="Figure 7(e) - busy processors at selected times",
+            title=f"{figure}(e) - busy processors at selected times",
             probe_header="time (s)",
         )
     )
     activity = {}
     for label, m in metrics.items():
-        times, counts = m.cumulative_grow_messages()
+        times, counts = getattr(m, panels.activity)()
         series = []
         for t in probes:
             if len(times) == 0 or (times <= t).sum() == 0:
@@ -173,7 +136,7 @@ def figure7_report(results: Dict[str, ExperimentResult], *, samples: int = 8) ->
         comparison_table(
             activity,
             probes,
-            title="Figure 7(f) - cumulative grow messages at selected times",
+            title=f"{figure}(f) - cumulative {panels.activity_caption} at selected times",
             probe_header="time (s)",
         )
     )

@@ -16,12 +16,7 @@ reproduction must match qualitatively:
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
-from repro.experiments.setup import ExperimentConfig, ExperimentResult
-from repro.metrics.asciiplot import cdf_plot
-from repro.metrics.collector import ExperimentMetrics
-from repro.metrics.reports import cdf_probe_table, comparison_table, summary_table
+from repro.experiments.figure7 import SixPanels
 
 #: The policy/workload combinations of Figure 8, in the paper's legend order.
 FIGURE8_COMBINATIONS = (
@@ -30,153 +25,20 @@ FIGURE8_COMBINATIONS = (
     ("EGS", "W'm"),
     ("EGS", "W'mr"),
 )
-
-
-def figure8_config(
-    policy: str,
-    workload: str,
-    *,
-    job_count: int = 300,
-    seed: int = 0,
-    grow_threshold: int = 0,
-) -> ExperimentConfig:
-    """Configuration of one Figure 8 run (PWA approach, high-load workloads).
-
-    The PWA experiments use the heavier
-    :data:`~repro.experiments.setup.FIGURE8_BACKGROUND_PROFILE` so that the
-    system actually saturates, as it did during the paper's W' runs.
-    """
-    from repro.experiments.setup import FIGURE8_BACKGROUND_PROFILE
-
-    return ExperimentConfig(
-        name=f"figure8-{policy}-{workload}",
-        workload=workload,
-        job_count=job_count,
-        malleability_policy=policy,
-        approach="PWA",
-        placement_policy="WF",
-        seed=seed,
-        grow_threshold=grow_threshold,
-        background_fraction=dict(FIGURE8_BACKGROUND_PROFILE),
-    )
-
-
-def run_figure8(
-    *,
-    job_count: int = 300,
-    seed: int = 0,
-    combinations: Sequence[tuple] = FIGURE8_COMBINATIONS,
-    grow_threshold: int = 0,
-    jobs: int = 1,
-    cache=None,
-    refresh: bool = False,
-) -> Dict[str, ExperimentResult]:
-    """Run all Figure 8 combinations; returns results keyed by ``"policy/workload"``.
-
-    A thin wrapper over the scenario engine: ``jobs`` fans the runs out over
-    worker processes and ``cache`` (a directory or
-    :class:`~repro.experiments.engine.ResultCache`) skips configurations that
-    already ran.
-    """
-    from repro.experiments.scenarios import figure8_scenario, run_scenario, strip_seed_suffix
-
-    results = run_scenario(
-        figure8_scenario(combinations),
-        job_count=job_count,
-        seed=seed,
-        jobs=jobs,
-        cache=cache,
-        refresh=refresh,
-        overrides={"grow_threshold": grow_threshold} if grow_threshold else None,
-    )
-    # One root seed => the bare "policy/workload" key is still unique.
-    return {strip_seed_suffix(label): result for label, result in results.items()}
-
-
-def _metrics(results: Dict[str, ExperimentResult]) -> Dict[str, ExperimentMetrics]:
-    return {label: result.metrics for label, result in results.items()}
-
-
-def figure8_report(results: Dict[str, ExperimentResult]) -> str:
-    """Plain-text rendering of all six panels of Figure 8."""
-    metrics = _metrics(results)
-    sections = [summary_table(metrics, title="Figure 8 - summary (PWA approach)")]
-
-    sections.append(
-        cdf_probe_table(
-            metrics,
-            "average_allocation",
-            probes=[2, 4, 6, 10, 15, 20, 30, 40],
-            title="Figure 8(a) - % of jobs with average processors <= x",
-        )
-    )
-    sections.append(
-        cdf_probe_table(
-            metrics,
-            "maximum_allocation",
-            probes=[2, 4, 8, 16, 24, 32, 46, 60],
-            title="Figure 8(b) - % of jobs with maximum processors <= x",
-        )
-    )
-    sections.append(
-        cdf_probe_table(
-            metrics,
-            "execution_time",
-            probes=[60, 120, 200, 300, 400, 600, 800, 1000],
-            title="Figure 8(c) - % of jobs with execution time <= x seconds",
-        )
-    )
-    sections.append(
-        cdf_probe_table(
-            metrics,
-            "response_time",
-            probes=[60, 120, 200, 300, 400, 600, 800, 1000],
-            title="Figure 8(d) - % of jobs with response time <= x seconds",
-        )
-    )
-    sections.append(
-        cdf_plot(
-            {label: m.average_allocation_cdf() for label, m in metrics.items()},
-            title="Figure 8(a) as a plot - average-allocation CDFs",
-            x_label="average number of processors per job",
-        )
-    )
-
-    horizon = max((result.workload_duration for result in results.values()), default=0.0)
-    window_end = max(horizon, 1.0)
-    fractions = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
-    probes = [window_end * frac for frac in fractions]
-    utilization = {
-        label: [
-            m.utilization_over(0.0, window_end, samples=200)[1][min(int(frac * 199), 199)]
-            for frac in fractions
-        ]
-        for label, m in metrics.items()
-    }
-    sections.append(
-        comparison_table(
-            utilization,
-            probes,
-            title="Figure 8(e) - busy processors at selected times",
-            probe_header="time (s)",
-        )
-    )
-    operations = {}
-    for label, m in metrics.items():
-        times, counts = m.cumulative_operations()
-        series = []
-        for t in probes:
-            if len(times) == 0 or (times <= t).sum() == 0:
-                series.append(0.0)
-            else:
-                series.append(float(counts[(times <= t).sum() - 1]))
-        operations[label] = series
-    sections.append(
-        comparison_table(
-            operations,
-            probes,
-            title="Figure 8(f) - cumulative malleability operations at selected times",
-            probe_header="time (s)",
-        )
-    )
-    return "\n\n".join(sections)
+#: Figure 8's panels, rendered by
+#: :func:`~repro.experiments.figure7.six_panel_report`.
+FIGURE8_PANELS = SixPanels(
+    figure=8,
+    approach="PWA",
+    probes=(
+        (2, 4, 6, 10, 15, 20, 30, 40),
+        (2, 4, 8, 16, 24, 32, 46, 60),
+        (60, 120, 200, 300, 400, 600, 800, 1000),
+        (60, 120, 200, 300, 400, 600, 800, 1000),
+    ),
+    plot="a",
+    plot_caption="average-allocation CDFs",
+    plot_x_label="average number of processors per job",
+    activity="cumulative_operations",
+    activity_caption="malleability operations",
+)

@@ -2,11 +2,11 @@
 
 A :class:`ScenarioSpec` describes one of the paper's figures, tables or
 ablation sweeps as *data*: a base :class:`~repro.experiments.setup.ExperimentConfig`
-field mapping, a tuple of :class:`ScenarioVariant`\\ s (the legend entries),
-a seed grid and a repetition count, plus the reporter that renders the merged
-results.  The :mod:`~repro.experiments.engine` turns a spec into concrete
-configurations and runs them — in parallel, against the result cache —
-without any per-figure driver code.
+field mapping, a tuple of :class:`ScenarioVariant`\\ s (the legend entries)
+and a seed grid, plus the reporter that renders the merged results.  The
+:mod:`~repro.experiments.engine` turns a spec into concrete configurations
+and runs them — in parallel, against the result cache — without any
+per-figure driver code.
 
 Adding a scenario is one registry entry::
 
@@ -75,16 +75,9 @@ class ScenarioSpec:
         :class:`~repro.experiments.setup.ExperimentConfig` fields shared by
         every variant.
     variants:
-        The legend entries; each contributes ``len(seeds) * repetitions``
-        runs.
+        The legend entries; each contributes one run per seed.
     seeds:
-        Root seeds to run every variant with.
-    repetitions:
-        Independent repetitions per seed; repetition *r* of root seed *s*
-        runs with ``s * repetitions + r``, which is deterministic and
-        collision-free across the whole grid (distinct root seeds can never
-        share a run seed).  With the default ``repetitions=1`` the root seed
-        passes through unchanged.
+        The seed grid: every variant runs once with each seed.
     default_job_count:
         Jobs per workload when the caller does not override it.
     reporter:
@@ -106,7 +99,6 @@ class ScenarioSpec:
     base: Mapping[str, Any] = field(default_factory=dict)
     variants: Tuple[ScenarioVariant, ...] = ()
     seeds: Tuple[int, ...] = (0,)
-    repetitions: int = 1
     default_job_count: int = 300
     reporter: Optional[Reporter] = None
     builder: Optional[Callable[[], str]] = None
@@ -119,7 +111,7 @@ class ScenarioSpec:
 
     def run_count(self) -> int:
         """Number of experiment runs a full sweep of this scenario performs."""
-        return len(self.variants) * len(self.seeds) * self.repetitions
+        return len(self.variants) * len(self.seeds)
 
     def expand(
         self,
@@ -130,12 +122,11 @@ class ScenarioSpec:
     ) -> List[Tuple[str, ExperimentConfig]]:
         """The concrete ``(label, config)`` runs of this scenario, in order.
 
-        *seed* replaces the spec's whole seed grid with a single root seed;
+        *seed* replaces the spec's whole seed grid with a single seed;
         *overrides* wins over both the base mapping and the variants.  Labels
-        stay bare for single-seed/single-repetition sweeps and grow
-        ``@seed<N>`` / ``#rep<N>`` suffixes only when needed, so the common
-        case keys results exactly like the paper's legends
-        (``"FPSMA/Wm"``).
+        stay bare for single-seed sweeps and grow an ``@seed<N>`` suffix only
+        when needed, so the common case keys results exactly like the paper's
+        legends (``"FPSMA/Wm"``).
 
         "When needed" includes a *seed* override that changes the grid: two
         runs of the same scenario with different ``--seed`` values must not
@@ -150,31 +141,24 @@ class ScenarioSpec:
         label_seeds = len(seeds) > 1 or (seed is not None and seeds != self.seeds)
         pairs: List[Tuple[str, ExperimentConfig]] = []
         for variant in self.variants:
-            for root_seed in seeds:
-                for repetition in range(self.repetitions):
-                    fields: Dict[str, Any] = dict(self.base)
-                    fields.update(variant.overrides)
-                    if overrides:
-                        fields.update(overrides)
-                    if job_count is not None:
-                        fields["job_count"] = int(job_count)
-                    else:
-                        fields.setdefault("job_count", self.default_job_count)
-                    fields["seed"] = root_seed * self.repetitions + repetition
-                    fields.setdefault(
-                        "name", f"{self.name}-{_slug(variant.label)}"
-                    )
-                    label = variant.label
-                    if label_seeds:
-                        label += f"@seed{root_seed}"
-                    if self.repetitions > 1:
-                        label += f"#rep{repetition}"
-                    # The validated builder: a typo'd override key (from a
-                    # variant, the base mapping or a caller's --set flag)
-                    # fails with the valid fields listed, not a TypeError.
-                    pairs.append(
-                        (label, ExperimentConfig().with_overrides(**fields))
-                    )
+            for run_seed in seeds:
+                fields: Dict[str, Any] = dict(self.base)
+                fields.update(variant.overrides)
+                if overrides:
+                    fields.update(overrides)
+                if job_count is not None:
+                    fields["job_count"] = int(job_count)
+                else:
+                    fields.setdefault("job_count", self.default_job_count)
+                fields["seed"] = run_seed
+                fields.setdefault("name", f"{self.name}-{_slug(variant.label)}")
+                label = variant.label
+                if label_seeds:
+                    label += f"@seed{run_seed}"
+                # The validated builder: a typo'd override key (from a
+                # variant, the base mapping or a caller's --set flag)
+                # fails with the valid fields listed, not a TypeError.
+                pairs.append((label, ExperimentConfig().with_overrides(**fields)))
         return pairs
 
 
@@ -182,12 +166,12 @@ _SEED_SUFFIX = re.compile(r"@seed\d+")
 
 
 def strip_seed_suffix(label: str) -> str:
-    """*label* without its ``@seed<N>`` suffix (``#rep<N>`` is kept).
+    """*label* without its ``@seed<N>`` suffix: the variant's own label.
 
-    For callers that collapse a scenario to a single root seed — the figure
-    and ablation wrappers — the seed suffix carries no information and the
-    bare variant label is still unique, so they re-key their results with
-    this to keep the documented ``"policy/workload"`` keys.
+    The statistics layer groups a seed grid's results per variant with it.
+    A caller that runs a scenario at one non-default seed re-keys its
+    results with it to get the bare ``"policy/workload"`` keys back, which
+    stay unique because only one seed ran.
     """
     return _SEED_SUFFIX.sub("", label)
 
@@ -290,15 +274,18 @@ def run_scenario(
 def scenario_report(
     scenario: Union[str, ScenarioSpec],
     results: Optional[Dict[str, ExperimentResult]] = None,
-    **run_kwargs: Any,
 ) -> str:
-    """The plain-text report of *scenario* (running it first if needed)."""
+    """The plain-text report of *scenario*.
+
+    A static scenario builds its report itself; a sweep scenario renders the
+    *results* of :func:`run_scenario`.
+    """
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     if spec.is_static:
         assert spec.builder is not None
         return spec.builder()
     if results is None:
-        results = run_scenario(spec, **run_kwargs)
+        raise ValueError(f"scenario {spec.name!r} sweeps configurations: pass its results")
     if spec.reporter is None:
         from repro.metrics.reports import summary_table
 
@@ -333,7 +320,11 @@ def figure7_scenario(
     combinations: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> ScenarioSpec:
     """Figure 7: {FPSMA, EGS} x {Wm, Wmr} under PRA with Worst-Fit placement."""
-    from repro.experiments.figure7 import FIGURE7_COMBINATIONS, figure7_report
+    from repro.experiments.figure7 import (
+        FIGURE7_COMBINATIONS,
+        FIGURE7_PANELS,
+        six_panel_report,
+    )
 
     return ScenarioSpec(
         name="figure7",
@@ -343,7 +334,7 @@ def figure7_scenario(
             combinations if combinations is not None else FIGURE7_COMBINATIONS,
             "figure7",
         ),
-        reporter=figure7_report,
+        reporter=partial(six_panel_report, panels=FIGURE7_PANELS),
     )
 
 
@@ -351,7 +342,8 @@ def figure8_scenario(
     combinations: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> ScenarioSpec:
     """Figure 8: {FPSMA, EGS} x {W'm, W'mr} under PWA in a saturated system."""
-    from repro.experiments.figure8 import FIGURE8_COMBINATIONS, figure8_report
+    from repro.experiments.figure7 import six_panel_report
+    from repro.experiments.figure8 import FIGURE8_COMBINATIONS, FIGURE8_PANELS
     from repro.experiments.setup import FIGURE8_BACKGROUND_PROFILE
 
     return ScenarioSpec(
@@ -366,7 +358,7 @@ def figure8_scenario(
             combinations if combinations is not None else FIGURE8_COMBINATIONS,
             "figure8",
         ),
-        reporter=figure8_report,
+        reporter=partial(six_panel_report, panels=FIGURE8_PANELS),
     )
 
 
@@ -400,6 +392,10 @@ def _ablation_spec(
     *,
     default_job_count: int = 60,
 ) -> ScenarioSpec:
+    """An ``ablation-<study>`` sweep of a knob the paper mentions but does not vary.
+
+    Its report is one summary table.
+    """
     return ScenarioSpec(
         name=f"ablation-{study}",
         title=title,
@@ -411,9 +407,9 @@ def _ablation_spec(
 
 
 def _ablation_results_report(results: Dict[str, ExperimentResult], *, title: str) -> str:
-    from repro.experiments.ablations import ablation_report
+    from repro.metrics.reports import summary_table
 
-    return ablation_report(results, title=title)
+    return summary_table({label: r.metrics for label, r in results.items()}, title=title)
 
 
 def approach_ablation_scenario(
@@ -479,7 +475,12 @@ def threshold_ablation_scenario(
 def overhead_ablation_scenario(
     *, workload: str = "Wm", submission_latencies: Sequence[float] = (0.0, 5.0, 30.0, 120.0)
 ) -> ScenarioSpec:
-    """Effect of the GRAM grow/shrink overhead on job execution times."""
+    """Effect of the GRAM grow/shrink overhead on job execution times.
+
+    The paper stresses that this overhead is usually neglected; sweeping the
+    GRAM submission latency shows when reconfiguration costs start eating the
+    benefit of malleability.
+    """
     return _ablation_spec(
         "overhead",
         "Ablation - GRAM submission latency (grow/shrink overhead)",
@@ -845,7 +846,7 @@ def _shard_replay_report(results: Dict[str, ExperimentResult]) -> str:
     lines = ["Sharded replay - deterministic bursty rigid workload", ""]
     for label in sorted(results):
         metrics = results[label].metrics
-        lines.append(f"{label}: {metrics.job_count()} jobs finished")
+        lines.append(f"{label}: {metrics.job_count} jobs finished")
     return "\n".join(lines)
 
 

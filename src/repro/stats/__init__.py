@@ -2,10 +2,13 @@
 
 Every figure of the paper is a single-trajectory estimate; this package
 turns any registered scenario into a *replicated* experiment — the same
-variants run across a seed grid, aggregated into means, standard deviations
-and bootstrap confidence intervals — and stages cross-grid *tournaments*
-(policy × trace × load_factor × fault_model) that emit ranked tables and a
-Pareto frontier over responsiveness, wasted work and job losses.
+variants run once per seed of a seed grid, the only replication axis,
+aggregated into means, standard deviations and bootstrap confidence
+intervals — and stages *tournaments* that emit ranked tables and a Pareto
+frontier over responsiveness, wasted work and job losses.  A tournament
+ranks the variants of any scenario; the policy × trace × load_factor ×
+fault_model grids come from
+:func:`repro.experiments.scenarios.tournament_scenario`.
 
 The layer adds no execution machinery of its own: replicas are ordinary
 :class:`~repro.experiments.setup.ExperimentConfig` runs flowing through the
@@ -31,7 +34,6 @@ from repro.stats.replication import (
     DEFAULT_SEEDS,
     RESILIENCE_ZERO_DEFAULTS,
     ReplicaSet,
-    base_label,
     group_replicas,
     replicate,
 )
@@ -44,7 +46,6 @@ from repro.stats.tournament import (
     pareto_frontier,
     rank_replicas,
     run_tournament,
-    tournament_grid_spec,
     tournament_report,
     tournament_report_from_results,
 )
@@ -62,14 +63,12 @@ __all__ = [
     "ReplicaSet",
     "TournamentEntry",
     "TournamentResult",
-    "base_label",
     "bootstrap_ci",
     "group_replicas",
     "pareto_frontier",
     "rank_replicas",
     "replicate",
     "run_tournament",
-    "tournament_grid_spec",
     "tournament_report",
     "tournament_report_from_results",
 ]

@@ -21,12 +21,11 @@ Execution backends
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.engine import ResultCache, record_to_result, run_configs
-from repro.experiments.scenarios import ScenarioSpec, get_scenario
+from repro.experiments.scenarios import ScenarioSpec, get_scenario, strip_seed_suffix
 from repro.experiments.setup import ExperimentConfig, ExperimentResult
 from repro.stats.aggregate import (
     DEFAULT_CONFIDENCE,
@@ -51,18 +50,9 @@ RESILIENCE_ZERO_DEFAULTS = frozenset(
     }
 )
 
-#: The ``@seed<N>`` / ``#rep<N>`` suffixes :meth:`ScenarioSpec.expand` adds.
-_REPLICA_SUFFIX = re.compile(r"(?:@seed\d+|#rep\d+)")
-
-
-def base_label(label: str) -> str:
-    """*label* with any replica (``@seed``/``#rep``) suffixes stripped."""
-    return _REPLICA_SUFFIX.sub("", label)
-
-
 @dataclass(frozen=True)
 class ReplicaSet:
-    """All replicas (seeds × repetitions) of one scenario variant."""
+    """All replicas (one per seed) of one scenario variant."""
 
     label: str
     results: Tuple[ExperimentResult, ...]
@@ -197,7 +187,7 @@ def replicate(
     width = len(per_seed[0])
     grouped: Dict[str, List[ExperimentResult]] = {}
     for variant_index in range(width):
-        label = base_label(per_seed[0][variant_index][0])
+        label = strip_seed_suffix(per_seed[0][variant_index][0])
         bucket = grouped.setdefault(label, [])
         for seed_index in range(len(grid)):
             bucket.append(results[seed_index * width + variant_index])
@@ -219,7 +209,7 @@ def group_replicas(
     """
     grouped: Dict[str, List[ExperimentResult]] = {}
     for label, result in results.items():
-        grouped.setdefault(base_label(label), []).append(result)
+        grouped.setdefault(strip_seed_suffix(label), []).append(result)
     return {
         label: ReplicaSet(label=label, results=tuple(bucket))
         for label, bucket in grouped.items()

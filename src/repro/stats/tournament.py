@@ -292,15 +292,3 @@ def tournament_report_from_results(
             resamples=resamples,
         )
     )
-
-
-def tournament_grid_spec(**kwargs: Any) -> ScenarioSpec:
-    """A custom (policy × trace × load_factor × fault_model) grid spec.
-
-    A thin re-export of
-    :func:`repro.experiments.scenarios.tournament_scenario` for callers that
-    start from the statistics layer; see that factory for the parameters.
-    """
-    from repro.experiments.scenarios import tournament_scenario
-
-    return tournament_scenario(**kwargs)

@@ -18,6 +18,10 @@ def test_parser_knows_the_new_commands():
     # The capture mode follows the configuration; there is nothing to choose.
     with pytest.raises(SystemExit):
         parser.parse_args(["checkpointed", "figure7", "--mode", "native"])
+    # Checkpoints persist as numbered files (--checkpoint-path), the form
+    # --resume reads; there is no second, content-addressed surface.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["checkpointed", "figure7", "--checkpoint-store", "ckpts"])
 
 
 def test_shard_replay_command(capsys):

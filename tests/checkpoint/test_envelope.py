@@ -1,4 +1,4 @@
-"""Envelope schema, atomic persistence and the content-addressed store."""
+"""Envelope schema and atomic persistence."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ import pytest
 
 from repro.checkpoint import (
     CHECKPOINT_FORMAT,
-    CheckpointStore,
     RestoreError,
-    checkpoint_key,
     load_checkpoint,
     save_checkpoint,
     validate_envelope,
@@ -59,27 +57,3 @@ def test_load_rejects_corrupt_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(RestoreError):
         load_checkpoint(path)
-
-
-def test_checkpoint_key_depends_on_config_and_time():
-    config = {"name": "a", "seed": 0}
-    key = checkpoint_key(config, (10.0).hex())
-    assert key == checkpoint_key({"seed": 0, "name": "a"}, (10.0).hex())
-    assert key != checkpoint_key(config, (11.0).hex())
-    assert key != checkpoint_key({"name": "b", "seed": 0}, (10.0).hex())
-
-
-def test_store_roundtrip_and_keys(tmp_path):
-    store = CheckpointStore(tmp_path)
-    data = _envelope()
-    key = store.save(data)
-    assert key == store.key_for(data)
-    assert store.load(key) == data
-    assert key in store.keys()
-    store.clear()
-    assert store.load(key) is None
-
-
-def test_store_load_unknown_key(tmp_path):
-    store = CheckpointStore(tmp_path)
-    assert store.load("0" * 64) is None

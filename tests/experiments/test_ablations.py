@@ -1,38 +1,42 @@
 """Smoke tests of the ablation sweeps (reduced sizes).
 
 The full sweeps run as benchmarks; these tests exercise the same code paths
-with tiny workloads so regressions in the ablation drivers are caught by the
-ordinary test suite.
+with tiny workloads so regressions in the ablation scenarios are caught by
+the ordinary test suite.
 """
 
 from __future__ import annotations
 
-
-from repro.experiments.ablations import (
-    ablation_report,
-    run_approach_ablation,
-    run_overhead_ablation,
-    run_policy_ablation,
-    run_reconfiguration_cost_ablation,
-    run_threshold_ablation,
+from repro.experiments.scenarios import (
+    overhead_ablation_scenario,
+    policy_ablation_scenario,
+    reconfiguration_cost_ablation_scenario,
+    run_scenario,
+    scenario_report,
+    strip_seed_suffix,
+    threshold_ablation_scenario,
 )
 
 
+def _bare_labels(results):
+    """One seed's *results* keyed by the bare variant labels."""
+    return {strip_seed_suffix(label): result for label, result in results.items()}
+
+
 def test_policy_ablation_includes_baselines_and_no_malleability():
-    results = run_policy_ablation(
-        job_count=8, seed=1, policies=("FPSMA", "EQUIPARTITION", None)
-    )
+    spec = policy_ablation_scenario(policies=("FPSMA", "EQUIPARTITION", None))
+    results = _bare_labels(run_scenario(spec, job_count=8, seed=1))
     assert set(results) == {"FPSMA/Wm", "EQUIPARTITION/Wm", "no-malleability/Wm"}
     for label, result in results.items():
         assert result.all_done, label
     none = results["no-malleability/Wm"].metrics
     assert none.total_grow_messages == 0
-    report = ablation_report(results, title="policies")
-    assert "no-malleability/Wm" in report
+    report = scenario_report(spec, results)
+    assert "Ablation study: policy" in report and "no-malleability/Wm" in report
 
 
 def test_approach_ablation_runs_both_approaches():
-    results = run_approach_ablation(job_count=8, seed=1)
+    results = _bare_labels(run_scenario("ablation-approach", job_count=8, seed=1))
     assert len(results) == 2
     labels = sorted(results)
     assert labels[0].startswith("PRA") and labels[1].startswith("PWA")
@@ -41,7 +45,8 @@ def test_approach_ablation_runs_both_approaches():
 
 
 def test_threshold_ablation_monotone_in_threshold():
-    results = run_threshold_ablation(job_count=8, seed=1, thresholds=(0, 64))
+    spec = threshold_ablation_scenario(thresholds=(0, 64))
+    results = _bare_labels(run_scenario(spec, job_count=8, seed=1))
     small = results["threshold=0"].metrics.summary()["mean_average_allocation"]
     large = results["threshold=64"].metrics.summary()["mean_average_allocation"]
     # Reserving 64 processors per cluster leaves essentially nothing to grow into.
@@ -49,14 +54,16 @@ def test_threshold_ablation_monotone_in_threshold():
 
 
 def test_overhead_ablation_runs_all_latencies():
-    results = run_overhead_ablation(job_count=6, seed=1, submission_latencies=(0.0, 60.0))
+    spec = overhead_ablation_scenario(submission_latencies=(0.0, 60.0))
+    results = _bare_labels(run_scenario(spec, job_count=6, seed=1))
     assert set(results) == {"gram-latency=0s", "gram-latency=60s"}
     for result in results.values():
         assert result.all_done
 
 
 def test_reconfiguration_cost_ablation_slows_growers_down():
-    results = run_reconfiguration_cost_ablation(job_count=6, seed=1, costs=(0.0, 120.0))
+    spec = reconfiguration_cost_ablation_scenario(costs=(0.0, 120.0))
+    results = _bare_labels(run_scenario(spec, job_count=6, seed=1))
     cheap = results["reconfig-cost=0s"].metrics.summary()["mean_execution_time"]
     expensive = results["reconfig-cost=120s"].metrics.summary()["mean_execution_time"]
     assert expensive >= cheap - 1e-9

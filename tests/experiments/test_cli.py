@@ -112,7 +112,7 @@ def test_custom_command_summary_and_csv(capsys):
     assert len(csv.strip().splitlines()) == 5  # header + 4 jobs
 
 
-def test_run_figure7_with_reduced_jobs_and_parallel_workers(capsys):
+def test_run_command_renders_figure7_with_reduced_jobs_and_parallel_workers(capsys):
     assert main(["run", "figure7", "--job-count", "8", "--seed", "1", "--jobs", "2"]) == 0
     output = capsys.readouterr().out
     assert "Figure 7(a)" in output and "Figure 7(f)" in output

@@ -1,4 +1,4 @@
-"""Regression tests of the figure drivers: each paper figure's qualitative shape.
+"""Regression tests of the paper's figures: each one's qualitative shape.
 
 These tests run reduced versions of the paper's experiments (fewer jobs, one
 seed) and assert the *relationships* the paper reports, not absolute numbers.
@@ -15,9 +15,13 @@ from repro.experiments.figure6 import (
     run_figure6,
     simulate_execution_time,
 )
-from repro.experiments.figure7 import figure7_report, run_figure7
-from repro.experiments.figure8 import figure8_report, run_figure8
+from repro.experiments.scenarios import run_scenario, scenario_report, strip_seed_suffix
 from repro.apps import ft_profile, gadget2_profile
+
+
+def _bare_labels(results):
+    """One seed's *results* keyed by the bare legend labels."""
+    return {strip_seed_suffix(label): result for label, result in results.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +65,7 @@ def test_figure6_report_renders_both_applications():
 
 @pytest.fixture(scope="module")
 def figure7_results():
-    return run_figure7(job_count=80, seed=2)
+    return _bare_labels(run_scenario("figure7", job_count=80, seed=2))
 
 
 def test_figure7_all_jobs_complete(figure7_results):
@@ -111,7 +115,7 @@ def test_figure7_jobs_grow_beyond_their_initial_size(figure7_results):
 
 
 def test_figure7_report_contains_all_six_panels(figure7_results):
-    report = figure7_report(figure7_results)
+    report = scenario_report("figure7", figure7_results)
     for panel in ("7(a)", "7(b)", "7(c)", "7(d)", "7(e)", "7(f)"):
         assert panel in report
     assert "FPSMA/Wm" in report and "EGS/Wmr" in report
@@ -124,7 +128,7 @@ def test_figure7_report_contains_all_six_panels(figure7_results):
 
 @pytest.fixture(scope="module")
 def figure8_results():
-    return run_figure8(job_count=80, seed=2)
+    return _bare_labels(run_scenario("figure8", job_count=80, seed=2))
 
 
 def test_figure8_all_jobs_complete(figure8_results):
@@ -162,6 +166,6 @@ def test_figure8_egs_remains_the_more_active_policy(figure8_results):
 
 
 def test_figure8_report_contains_all_six_panels(figure8_results):
-    report = figure8_report(figure8_results)
+    report = scenario_report("figure8", figure8_results)
     for panel in ("8(a)", "8(b)", "8(c)", "8(d)", "8(e)", "8(f)"):
         assert panel in report

@@ -73,11 +73,10 @@ def test_expansions_under_different_seeds_never_share_labels():
     assert "FPSMA/Wm@seed1" in merged and "FPSMA/Wm@seed2" in merged
 
 
-def test_strip_seed_suffix_keeps_repetition_suffixes():
+def test_strip_seed_suffix_strips_the_seed_suffix():
     from repro.experiments.scenarios import strip_seed_suffix
 
     assert strip_seed_suffix("EGS/Wm@seed7") == "EGS/Wm"
-    assert strip_seed_suffix("EGS/Wm@seed7#rep1") == "EGS/Wm#rep1"
     assert strip_seed_suffix("EGS/Wm") == "EGS/Wm"
 
 
@@ -98,41 +97,21 @@ def test_static_scenarios_refuse_to_expand_but_report():
     assert "Figure 6" in scenario_report("figure6")
 
 
-def test_seed_grid_and_repetitions_expand_with_distinct_labels_and_seeds():
+def test_seed_grid_expands_with_distinct_labels_and_seeds():
     spec = ScenarioSpec(
         name="grid-test",
         title="grid",
         base={"workload": "Wm", "malleability_policy": "EGS"},
         variants=(ScenarioVariant("EGS/Wm", {}),),
         seeds=(0, 10),
-        repetitions=2,
         default_job_count=4,
     )
     pairs = spec.expand()
-    assert [label for label, _ in pairs] == [
-        "EGS/Wm@seed0#rep0",
-        "EGS/Wm@seed0#rep1",
-        "EGS/Wm@seed10#rep0",
-        "EGS/Wm@seed10#rep1",
-    ]
-    assert [config.seed for _, config in pairs] == [0, 1, 20, 21]
-    assert len(set(config.seed for _, config in pairs)) == 4  # collision-free
-    assert spec.run_count() == 4
-    # A caller-provided seed collapses the grid to a single root seed.
-    assert [config.seed for _, config in spec.expand(seed=5)] == [10, 11]
-
-
-def test_adjacent_root_seeds_with_repetitions_never_collide():
-    spec = ScenarioSpec(
-        name="collision-test",
-        title="collisions",
-        variants=(ScenarioVariant("v", {"workload": "Wm"}),),
-        seeds=(0, 1, 2),
-        repetitions=3,
-        default_job_count=4,
-    )
-    seeds = [config.seed for _, config in spec.expand()]
-    assert len(seeds) == len(set(seeds)) == 9
+    assert [label for label, _ in pairs] == ["EGS/Wm@seed0", "EGS/Wm@seed10"]
+    assert [config.seed for _, config in pairs] == [0, 10]
+    assert spec.run_count() == 2
+    # A caller-provided seed collapses the grid to a single seed.
+    assert [config.seed for _, config in spec.expand(seed=5)] == [5]
 
 
 def test_explicit_overrides_win_over_base_and_variant():
@@ -155,8 +134,8 @@ def test_register_scenario_rejects_duplicates_unless_overwritten():
 
 
 def test_run_scenario_returns_results_keyed_by_variant_label():
-    # The non-default root seed stays in the key (collision fix); the
-    # bare-label convenience lives in the figure/ablation wrappers.
+    # The non-default seed stays in the key (collision fix);
+    # strip_seed_suffix gives the bare label back.
     results = run_scenario("ablation-approach", job_count=5, seed=1)
     assert sorted(results) == ["PRA/EGS/W'm@seed1", "PWA/EGS/W'm@seed1"]
     for result in results.values():
@@ -173,8 +152,22 @@ def test_default_reporter_is_a_summary_table():
         variants=(ScenarioVariant("none/Wm", {}),),
         default_job_count=3,
     )
-    report = scenario_report(spec)
+    report = scenario_report(spec, run_scenario(spec))
     assert "Plain sweep" in report and "none/Wm" in report
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_registered_scenario_renders_its_report(name):
+    # Regression: the shard-replay reporter called the ``job_count``
+    # property, so ``repro-cli run shard-replay`` raised TypeError after
+    # its simulation had finished.
+    spec = get_scenario(name)
+    results = None if spec.is_static else run_scenario(spec, job_count=3)
+    assert scenario_report(spec, results)
+    if not spec.is_static:
+        # A sweep scenario is rendered from results; it never runs itself.
+        with pytest.raises(ValueError, match="pass its results"):
+            scenario_report(spec)
 
 
 def test_iter_scenarios_is_sorted_and_complete():

@@ -179,6 +179,15 @@ def test_figure6_report_matches_golden_text():
     _compare_or_update(GOLDEN_DIR / "GOLDEN_figure6.txt", report, lambda text: text)
 
 
+@pytest.mark.parametrize("scenario", ["figure7", "figure8"])
+def test_six_panel_report_matches_golden_text(scenario):
+    # The rendered six panels of the golden runs: pins the probes, titles,
+    # the plot and the time-series panels, which the digests do not cover.
+    results = run_scenario(scenario, jobs=1, cache=None, **GOLDEN_CASES[scenario])
+    report = scenario_report(scenario, results) + "\n"
+    _compare_or_update(GOLDEN_DIR / f"GOLDEN_{scenario}.txt", report, lambda text: text)
+
+
 def test_field_diff_pinpoints_changed_fields():
     # The diff helper itself is load-bearing for debuggability: it must name
     # the label and field, not just report an inequality.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.scenarios import ScenarioSpec, ScenarioVariant
-from repro.stats import ReplicaSet, base_label, group_replicas, replicate
+from repro.stats import ReplicaSet, group_replicas, replicate
 
 
 def tiny_spec(**kwargs) -> ScenarioSpec:
@@ -21,13 +21,6 @@ def tiny_spec(**kwargs) -> ScenarioSpec:
     )
     defaults.update(kwargs)
     return ScenarioSpec(**defaults)
-
-
-def test_base_label_strips_replica_suffixes():
-    assert base_label("EGS/Wm") == "EGS/Wm"
-    assert base_label("EGS/Wm@seed3") == "EGS/Wm"
-    assert base_label("EGS/Wm@seed3#rep1") == "EGS/Wm"
-    assert base_label("EGS/Wm#rep2") == "EGS/Wm"
 
 
 def test_replicate_groups_by_variant_across_the_seed_grid():

@@ -203,11 +203,6 @@ class TabulatedSpeedup(SpeedupModel):
         self._sizes: Sequence[int] = sorted(table)
         self._times: Sequence[float] = [table[n] for n in self._sizes]
 
-    @property
-    def measured_points(self) -> Tuple[Tuple[int, float], ...]:
-        """The measured points this model interpolates, sorted by size."""
-        return tuple(zip(self._sizes, self._times))
-
     def execution_time(self, processors: int) -> float:
         self._check(processors)
         sizes, times = self._sizes, self._times

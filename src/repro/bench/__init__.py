@@ -1,49 +1,32 @@
-"""Continuous benchmarking: measured scenario runs, baselines, CI gating.
-
-The ``repro.bench`` package makes "faster every PR" a checked invariant
-instead of a hope:
+"""The exact benchmark gate: counted scenario runs against committed baselines.
 
 * :mod:`repro.bench.runner` runs registry scenarios at pinned seeds and
-  produces machine-readable :class:`~repro.bench.runner.BenchRecord`\\ s
-  (``BENCH_<scenario>.json``): wall-clock, events/second, peak RSS,
-  cache-hit status, code version and a digest over the simulated metrics.
-* :mod:`repro.bench.baseline` diffs records against the committed baselines
-  under ``benchmarks/baselines/`` and classifies the outcome (ok /
-  regression / improvement / bootstrapped).
+  produces :class:`~repro.bench.runner.BenchRecord`\\ s: the kernel events
+  processed and a digest over the simulated metrics, neither of them
+  timed.
+* :mod:`repro.bench.baseline` compares a record with the committed baseline
+  under ``benchmarks/baselines/`` field by field.
 * :mod:`repro.bench.cli` is the ``repro-bench`` command line; CI runs
-  ``repro-bench --check --threshold 15%`` on every PR.
+  ``repro-bench --check`` on every PR.
+
+Performance itself is measured by ``perfbench/``, in alternating runs of a
+parent and a change; nothing here compares wall-clock time.
 """
 
-from repro.bench.baseline import (
-    DEFAULT_THRESHOLD,
-    Comparison,
-    check_record,
-    compare_records,
-    default_baseline_dir,
-    load_baseline,
-    parse_threshold,
-    save_baseline,
-)
+from repro.bench.baseline import check_record, default_baseline_dir, save_baseline
 from repro.bench.runner import (
     BenchRecord,
     benchable_scenarios,
-    load_record,
     metrics_digest,
     run_bench,
 )
 
 __all__ = [
     "BenchRecord",
-    "Comparison",
-    "DEFAULT_THRESHOLD",
     "benchable_scenarios",
     "check_record",
-    "compare_records",
     "default_baseline_dir",
-    "load_baseline",
-    "load_record",
     "metrics_digest",
-    "parse_threshold",
     "run_bench",
     "save_baseline",
 ]

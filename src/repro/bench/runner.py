@@ -1,51 +1,27 @@
-"""Measured benchmark runs over the scenario registry.
+"""Counted benchmark runs over the scenario registry.
 
-:func:`run_bench` executes one registered scenario at a pinned seed and job
-count — serially, so the numbers mean something — and returns a
-:class:`BenchRecord` with everything a regression gate needs: wall-clock
-time, kernel events processed (and the derived events/second), peak RSS, how
-many runs were served from the result cache, the code-version digest the
-cache uses, and a digest over the produced metrics (so a perf refactor can
-prove it did not change a single simulated outcome).
+:func:`run_bench` runs one registered scenario at a pinned seed and job
+count — serially and without the result cache — and returns a
+:class:`BenchRecord`: the kernel events the runs processed and a digest over
+the simulated metrics.  Neither is timed, so the gate in
+:mod:`repro.bench.baseline` compares them exactly.  The
+wall-clock seconds of the run are returned beside the record for the report
+table; they are never stored or compared.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import platform
-import sys
 import time
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.engine import ResultCache, code_version
-from repro.experiments.scenarios import get_scenario, iter_scenarios
-from repro.experiments.setup import ExperimentResult, build_workload, run_experiment
-from repro.sim.rng import RandomStreams
-from repro.workloads.spec import WorkloadSpec
+from repro.experiments.scenarios import get_scenario, iter_scenarios, run_scenario
+from repro.experiments.setup import ExperimentResult
 
 #: Schema version of the ``BENCH_*.json`` files.
 BENCH_FORMAT = 1
-
-
-def peak_rss_bytes() -> int:
-    """Peak resident set size of this process in bytes (0 if unavailable).
-
-    This is the process-wide high watermark: when one ``repro-bench``
-    invocation benchmarks several scenarios, later records include the peak
-    of everything run before them.  Treat the value as an upper bound (it is
-    reported, never gated); measure scenarios in separate invocations when
-    an exact per-scenario peak matters.
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is kilobytes on Linux, bytes on macOS.
-    return int(peak) if sys.platform == "darwin" else int(peak) * 1024
 
 
 def benchable_scenarios() -> Tuple[str, ...]:
@@ -57,52 +33,17 @@ def benchable_scenarios() -> Tuple[str, ...]:
     return tuple(spec.name for spec in iter_scenarios() if not spec.is_static)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchRecord:
-    """One measured benchmark run of a scenario (the ``BENCH_*.json`` payload)."""
+    """What one benchmark run of a scenario did (the ``BENCH_*.json`` payload)."""
 
     scenario: str
     job_count: int
     seed: int
     runs: int
-    wall_clock_seconds: float
     events_processed: int
-    events_per_second: float
-    peak_rss_bytes: int
-    cache_hits: int
-    code_version: str
     metrics_digest: str
-    python_version: str = field(default_factory=platform.python_version)
-    #: Coarse machine fingerprint; wall-clock comparisons across different
-    #: hosts are reported but never gated (see ``repro.bench.baseline``).
-    host: str = field(default_factory=lambda: f"{platform.system()}-{platform.machine()}")
     format: int = BENCH_FORMAT
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible representation."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "BenchRecord":
-        """Inverse of :meth:`to_dict`; unknown keys are ignored."""
-        known = cls.__dataclass_fields__
-        return cls(**{key: value for key, value in data.items() if key in known})
-
-    @property
-    def file_name(self) -> str:
-        """Canonical file name of this record (``BENCH_<scenario>.json``)."""
-        return f"BENCH_{self.scenario}.json"
-
-    def write(self, directory: Union[str, Path]) -> Path:
-        """Write the record to ``<directory>/BENCH_<scenario>.json``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / self.file_name
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
 
 
 def metrics_digest(results: Dict[str, ExperimentResult]) -> str:
@@ -126,113 +67,47 @@ def run_bench(
     *,
     job_count: Optional[int] = None,
     seed: int = 0,
-    cache: Union[ResultCache, str, Path, None] = None,
-) -> BenchRecord:
-    """Run *scenario* once, measured, and return its :class:`BenchRecord`.
+) -> Tuple[BenchRecord, float]:
+    """Run *scenario* once and return its record and the seconds the run took.
 
-    The configurations are executed serially in this process (never fanned
-    out), so wall-clock and events/second are comparable across runs; the
-    timed windows cover only :func:`run_experiment` itself, never cache
-    probing or cache writes.  With *cache* given, cached results are used
-    and counted in ``cache_hits`` — a record with cache hits measures the
-    cache, not the simulator, and the regression gate refuses both to gate
-    it and to treat it as a baseline.
+    A scenario with a ``bench`` hook (the sharded replay) is run through the
+    hook; every other one through one serial, uncached :func:`run_scenario`
+    call.
     """
     spec = get_scenario(scenario)
     if spec.is_static:
         raise ValueError(
             f"scenario {scenario!r} is static (report-only) and cannot be benchmarked"
         )
+    job_count = int(job_count) if job_count is not None else spec.default_job_count
+    started = time.perf_counter()
     if spec.bench is not None:
-        # The scenario measures itself through a custom hook (e.g. the
-        # sharded-replay engine) instead of sweeping run_experiment.
-        jobs = int(job_count) if job_count is not None else spec.default_job_count
-        measured = spec.bench(job_count=jobs, seed=int(seed))
-        wall = float(measured["wall_clock_seconds"])
-        events = int(measured["events_processed"])
-        return BenchRecord(
-            scenario=spec.name,
-            job_count=jobs,
-            seed=int(seed),
-            runs=int(measured.get("runs", 1)),
-            wall_clock_seconds=wall,
-            events_processed=events,
-            events_per_second=events / wall if wall > 0 else 0.0,
-            peak_rss_bytes=peak_rss_bytes(),
-            cache_hits=0,
-            code_version=code_version(),
-            metrics_digest=str(measured["metrics_digest"]),
-        )
-    pairs = spec.expand(job_count=job_count, seed=seed)
-    store = (
-        cache
-        if isinstance(cache, ResultCache) or cache is None
-        else ResultCache(cache)
-    )
-
-    # Only the simulator is inside the timed windows: cache probing and
-    # cache writes are I/O whose cost must not pollute the gated wall-clock.
-    #
-    # A scenario's configurations replay the same workload against different
-    # policies (exactly the paper's methodology), so the specification is
-    # built once per distinct ``(workload, seed, job_count)`` — inside a
-    # timed window, like every other piece of work the sweep needs — and the
-    # frozen spec is shared across the runs.
-    results: Dict[str, ExperimentResult] = {}
-    workloads: Dict[Tuple[str, int, int], WorkloadSpec] = {}
-    cache_hits = 0
-    wall_clock = 0.0
-    for label, config in pairs:
-        cached = store.load(config) if store is not None else None
-        if cached is not None:
-            cache_hits += 1
-            results[label] = cached
-            continue
-        key = (config.workload, config.seed, config.job_count)
-        started = time.perf_counter()
-        workload = workloads.get(key)
-        if workload is None:
-            workloads[key] = workload = build_workload(
-                config, RandomStreams(seed=config.seed)
-            )
-        result = run_experiment(config, workload=workload)
-        wall_clock += time.perf_counter() - started
-        if store is not None:
-            store.store(result)
-        results[label] = result
-
-    events = sum(result.events_processed for result in results.values())
-    return BenchRecord(
+        measured = spec.bench(job_count=job_count, seed=int(seed))
+    else:
+        results = run_scenario(spec, job_count=job_count, seed=int(seed), jobs=1, cache=None)
+        measured = {
+            "runs": len(results),
+            "events_processed": sum(result.events_processed for result in results.values()),
+            "metrics_digest": metrics_digest(results),
+        }
+    seconds = time.perf_counter() - started
+    record = BenchRecord(
         scenario=spec.name,
-        job_count=int(job_count) if job_count is not None else spec.default_job_count,
+        job_count=job_count,
         seed=int(seed),
-        runs=len(pairs),
-        wall_clock_seconds=wall_clock,
-        events_processed=events,
-        events_per_second=events / wall_clock if wall_clock > 0 else 0.0,
-        peak_rss_bytes=peak_rss_bytes(),
-        cache_hits=cache_hits,
-        code_version=code_version(),
-        metrics_digest=metrics_digest(results),
+        runs=int(measured["runs"]),
+        events_processed=int(measured["events_processed"]),
+        metrics_digest=str(measured["metrics_digest"]),
     )
+    return record, seconds
 
 
-def load_record(path: Union[str, Path]) -> BenchRecord:
-    """Read a ``BENCH_*.json`` file back into a :class:`BenchRecord`."""
-    return BenchRecord.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def records_report(records: List[BenchRecord]) -> str:
-    """Plain-text table of measured benchmark records."""
-    lines = [
-        f"{'scenario':<20} {'runs':>4} {'jobs':>5} {'wall (s)':>9} "
-        f"{'events':>9} {'events/s':>10} {'peak RSS':>9} {'cached':>6}"
-    ]
-    for record in records:
+def records_report(measured: List[Tuple[BenchRecord, float]]) -> str:
+    """Plain-text table of benchmark records and their wall-clock seconds."""
+    lines = [f"{'scenario':<20} {'runs':>4} {'jobs':>7} {'events':>9} {'wall (s)':>9}"]
+    for record, seconds in measured:
         lines.append(
-            f"{record.scenario:<20} {record.runs:>4} {record.job_count:>5} "
-            f"{record.wall_clock_seconds:>9.3f} {record.events_processed:>9} "
-            f"{record.events_per_second:>10.0f} "
-            f"{record.peak_rss_bytes / 1e6:>7.1f}MB {record.cache_hits:>6}"
+            f"{record.scenario:<20} {record.runs:>4} {record.job_count:>7} "
+            f"{record.events_processed:>9} {seconds:>9.3f}"
         )
     return "\n".join(lines)

@@ -86,10 +86,10 @@ class ScenarioSpec:
         For static scenarios only: renders the report directly, no sweep.
     bench:
         Optional custom benchmark hook: ``bench(job_count=..., seed=...)``
-        returning at least ``runs``, ``wall_clock_seconds``,
-        ``events_processed`` and ``metrics_digest``.  When set,
-        ``repro-bench`` measures the hook instead of sweeping the config
-        grid — used by scenarios whose interesting execution path is not
+        returning at least ``runs``, ``events_processed`` and
+        ``metrics_digest``.  When set, ``repro-bench`` runs the hook instead
+        of the config grid and gates what it returns — used by scenarios
+        whose interesting execution path is not
         :func:`~repro.experiments.setup.run_experiment` (the sharded-replay
         engine).  The scenario stays a normal sweep for ``repro-cli run``.
     """
@@ -855,8 +855,8 @@ def shard_replay_scenario() -> ScenarioSpec:
 
     The base mirrors :func:`repro.checkpoint.shard.shard_bench_config`
     field-for-field (a test pins the equality), so ``repro-cli run
-    shard-replay --jobs 2000`` simulates exactly the configuration that
-    ``repro-bench shard-replay`` measures through the shard engine.
+    shard-replay --job-count 2000`` simulates exactly the configuration whose
+    shard-engine digest and event count ``repro-bench shard-replay`` gates.
     """
     return ScenarioSpec(
         name="shard-replay",

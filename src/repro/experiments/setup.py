@@ -316,8 +316,8 @@ class ExperimentResult:
     should use :attr:`workload_duration`, which survives every path.
 
     ``events_processed`` is the number of kernel events the simulation's run
-    loop processed — the throughput denominator the benchmark subsystem
-    reports as events/second.
+    loop processed.  ``repro-bench --check`` requires a scenario's summed
+    count to equal its committed baseline exactly.
     """
 
     config: ExperimentConfig

@@ -164,12 +164,6 @@ class JobRunner(ABC):
             self.completed.succeed(record)
         self.callbacks.job_finished(self.job, record)
 
-    def _fail(self, reason: str) -> None:
-        self.job.state = JobState.FAILED
-        self.job.failure_reason = reason
-        self._release_gram_jobs(list(self.gram_jobs))
-        self.callbacks.job_failed(self.job, reason)
-
 
 class RigidRunner(JobRunner):
     """Runner for rigid and moldable jobs: one GRAM job, fixed size."""

@@ -341,10 +341,6 @@ class ExperimentMetrics:
         """CDF of job response times (Figures 7(d)/8(d))."""
         return self._cdf("response_time", selection)
 
-    def wait_time_cdf(self, **selection) -> EmpiricalCDF:
-        """CDF of job wait times (not plotted in the paper, useful for analysis)."""
-        return self._cdf("wait_time", selection)
-
     def utilization_over(self, start: float, end: float, samples: int = 200) -> Tuple[np.ndarray, np.ndarray]:
         """Utilization sampled over ``[start, end]`` (Figures 7(e)/8(e))."""
         if end <= start:

@@ -21,12 +21,11 @@ relies on.
 
 This module owns parsing (:func:`split_reference`, :func:`parse_query`),
 canonical rendering (:func:`render_reference`) and name validation with
-registered-name suggestions (:func:`unknown_name_error`).  The historical
-entry points — :class:`repro.policies.registry.PolicySpec`,
-:class:`repro.workloads.traces.TraceRef` and
-:class:`repro.faults.models.FaultRef` — delegate here and keep their exact
-error-message contracts; new code should parse through :func:`parse_reference`
-and get all three families uniformly.
+registered-name suggestions (:func:`unknown_name_error`).  Each family's
+reference type — :class:`repro.policies.registry.PolicySpec` (no prefix),
+:class:`repro.workloads.traces.TraceRef` (``TRACE_PREFIX``) and
+:class:`repro.faults.models.FaultRef` (``FAULT_PREFIX``) — owns its prefix,
+parses through these functions and keeps its exact error-message contracts.
 
 Value parsing differs by family and is pluggable: policies parse values as
 Python literals (``parse_literal``: ``30`` is an int, ``0.5`` a float,
@@ -40,13 +39,7 @@ from __future__ import annotations
 
 import ast
 import difflib
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
-
-#: The reference prefixes of the built-in families.
-POLICY_PREFIX = "policy:"
-TRACE_PREFIX = "trace:"
-FAULT_PREFIX = "fault:"
 
 
 def parse_literal(text: str) -> Any:
@@ -155,42 +148,3 @@ def unknown_name_error(
     return ValueError(
         f"unknown {family} {name!r}; registered: {listing}{suffix}"
     )
-
-
-@dataclass(frozen=True)
-class Ref:
-    """A parsed reference of any family: prefix, name and sorted parameters.
-
-    The general-purpose value most callers want from
-    :func:`parse_reference`; the families' richer types (``PolicySpec``,
-    ``TraceRef``, ``FaultRef``) add validation and construction on top.
-    """
-
-    prefix: str
-    name: str
-    params: Tuple[Tuple[str, Any], ...] = field(default=())
-
-    def canonical(self) -> str:
-        """The canonical reference string."""
-        return render_reference(self.name, dict(self.params), prefix=self.prefix)
-
-    def param_dict(self) -> Dict[str, Any]:
-        """The parameters as a plain dict."""
-        return dict(self.params)
-
-    def __str__(self) -> str:
-        return self.canonical()
-
-
-def parse_reference(
-    reference: str,
-    *,
-    prefix: str = "",
-    value_parser: Callable[[str], Any] = parse_scalar,
-) -> Ref:
-    """Parse any ``[prefix:]name?k=v&…`` reference into a :class:`Ref`."""
-    name, query = split_reference(reference, prefix=prefix or None)
-    if not name:
-        raise ValueError(f"empty reference name in {reference!r}")
-    params = parse_query(query, value_parser=value_parser)
-    return Ref(prefix=prefix, name=name, params=tuple(sorted(params.items())))

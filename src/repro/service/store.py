@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -83,13 +84,13 @@ def parse_size(text: Union[str, int, float, None]) -> Optional[int]:
     """Parse a human byte size (``"512M"``, ``"2G"``, ``4096``) to bytes.
 
     ``None`` and empty strings parse to ``None`` (no budget).  Raises
-    :class:`ValueError` on garbage or non-positive sizes, so a typo'd budget
-    fails loudly instead of silently disabling eviction.
+    :class:`ValueError` on garbage, non-finite or non-positive sizes, so a
+    typo'd budget fails loudly instead of silently disabling eviction.
     """
     if text is None:
         return None
     if isinstance(text, (int, float)):
-        value = int(text)
+        size = text
     else:
         stripped = text.strip().upper()
         if not stripped:
@@ -101,9 +102,12 @@ def parse_size(text: Union[str, int, float, None]) -> Optional[int]:
             multiplier = _SIZE_SUFFIXES[stripped[-1]]
             stripped = stripped[:-1]
         try:
-            value = int(float(stripped) * multiplier)
+            size = float(stripped) * multiplier
         except ValueError:
             raise ValueError(f"cannot parse size {text!r}") from None
+    if isinstance(size, float) and not math.isfinite(size):
+        raise ValueError(f"size must be finite, got {text!r}")
+    value = int(size)
     if value <= 0:
         raise ValueError(f"size must be positive, got {text!r}")
     return value

@@ -110,8 +110,9 @@ class Environment:
     def processed_events(self) -> int:
         """Total number of events this environment has processed so far.
 
-        Maintained by the run loop; the benchmark subsystem divides it by
-        wall-clock time to report events/second.
+        Maintained by the run loop.  It counts work, not time, so
+        ``repro-bench --check`` requires a scenario's summed count to equal
+        its committed baseline exactly.
         """
         return self._events_processed
 

@@ -347,14 +347,6 @@ class Condition(Event):
             elif event.callbacks is None:
                 value.events.append(event)
 
-    def _build_value(self, event: Event) -> None:
-        if event._ok:
-            condition_value = ConditionValue()
-            self._populate_value(condition_value)
-            self._value = condition_value
-        else:
-            self._value = event._value
-
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
             return

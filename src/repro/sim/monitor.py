@@ -100,10 +100,6 @@ class TimeSeries:
             stat.update(t, v)
         return stat.finalize(end).mean
 
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(times, values)`` as numpy arrays."""
-        return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
-
 
 class Counter:
     """A monotonically increasing event counter with per-event timestamps."""

@@ -1,211 +1,126 @@
-"""Unit tests of benchmark baseline storage, diffing and gating."""
+"""Unit tests of benchmark baseline storage and the exact gate."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
+from pathlib import Path
 
-import pytest
+from repro.bench import BenchRecord, benchable_scenarios, check_record, save_baseline
+from repro.bench.runner import BENCH_FORMAT
 
-from repro.bench import (
-    BenchRecord,
-    check_record,
-    compare_records,
-    load_baseline,
-    parse_threshold,
-    save_baseline,
-)
-from repro.bench.baseline import (
-    STATUS_BOOTSTRAPPED,
-    STATUS_DIGEST_CHANGED,
-    STATUS_IMPROVEMENT,
-    STATUS_OK,
-    STATUS_REGRESSION,
-)
+#: The committed baselines, gated by CI's ``bench`` job.
+COMMITTED = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 
-def record(wall: float = 1.0, **overrides) -> BenchRecord:
+def record(**overrides) -> BenchRecord:
     fields = dict(
         scenario="figure7",
         job_count=40,
         seed=0,
         runs=4,
-        wall_clock_seconds=wall,
-        events_processed=20_000,
-        events_per_second=20_000 / wall,
-        peak_rss_bytes=40_000_000,
-        cache_hits=0,
-        code_version="abc",
+        events_processed=16_163,
         metrics_digest="digest-1",
-        host="Linux-x86_64",
-        python_version="3.12.0",
     )
     fields.update(overrides)
     return BenchRecord(**fields)
 
 
-# ---------------------------------------------------------------------------
-# Threshold parsing
-# ---------------------------------------------------------------------------
+def test_identical_record_passes(tmp_path):
+    save_baseline(tmp_path, record())
+    assert check_record(record(), tmp_path) == []
 
 
-@pytest.mark.parametrize(
-    "text, expected",
-    [("15%", 0.15), ("0.15", 0.15), ("7.5%", 0.075), (0.2, 0.2), ("400%", 4.0)],
-)
-def test_parse_threshold_accepts_percent_and_fraction(text, expected):
-    assert parse_threshold(text) == pytest.approx(expected)
+def test_changed_digest_fails_the_gate(tmp_path):
+    save_baseline(tmp_path, record())
+    assert check_record(record(metrics_digest="digest-2"), tmp_path) == [
+        "metrics_digest: baseline digest-1, measured digest-2"
+    ]
 
 
-@pytest.mark.parametrize("text", ["0", "-5%", "nope", "15", "1.5"])
-def test_parse_threshold_rejects_nonsense_and_ambiguity(text):
-    with pytest.raises(ValueError):
-        parse_threshold(text)
+def test_changed_event_count_alone_fails_the_gate(tmp_path):
+    """Same digest, more kernel events: the same outcome cost more work."""
+    save_baseline(tmp_path, record())
+    assert check_record(record(events_processed=16_164), tmp_path) == [
+        "events_processed: baseline 16163, measured 16164"
+    ]
 
 
-# ---------------------------------------------------------------------------
-# Diffing
-# ---------------------------------------------------------------------------
-
-
-def test_regression_detected_past_threshold():
-    comparison = compare_records(record(wall=1.3), record(wall=1.0), threshold=0.15)
-    assert comparison.status == STATUS_REGRESSION
-    assert comparison.failed
-    assert comparison.delta == pytest.approx(0.3)
-    assert "30.0% slower" in comparison.describe()
-
-
-def test_improvement_auto_reported_past_threshold():
-    comparison = compare_records(record(wall=0.7), record(wall=1.0), threshold=0.15)
-    assert comparison.status == STATUS_IMPROVEMENT
-    assert not comparison.failed
-    assert "faster" in comparison.describe()
-
-
-def test_within_threshold_is_ok_both_ways():
-    for wall in (0.9, 1.1):
-        comparison = compare_records(record(wall=wall), record(wall=1.0), threshold=0.15)
-        assert comparison.status == STATUS_OK
-        assert not comparison.failed
-
-
-def test_changed_digest_fails_the_gate():
-    comparison = compare_records(
-        record(wall=1.0, metrics_digest="digest-2"), record(wall=1.0)
+def test_different_job_count_fails_the_gate(tmp_path):
+    save_baseline(tmp_path, record())
+    failures = check_record(
+        record(job_count=300, events_processed=99, metrics_digest="digest-300"),
+        tmp_path,
     )
-    assert comparison.status == STATUS_DIGEST_CHANGED
-    assert comparison.failed
-    assert "--update" in comparison.describe()
+    assert failures == [
+        "events_processed: baseline 16163, measured 99",
+        "job_count: baseline 40, measured 300",
+        "metrics_digest: baseline digest-1, measured digest-300",
+    ]
 
 
-def test_changed_digest_fails_the_gate_on_another_host_too():
-    """Wall-clock does not compare across machines; the digest does."""
-    comparison = compare_records(
-        record(wall=0.5, metrics_digest="digest-2", host="Darwin-arm64"),
-        record(wall=1.0),
-    )
-    assert comparison.status == STATUS_DIGEST_CHANGED
-    assert comparison.failed
+def test_different_seed_fails_the_gate(tmp_path):
+    save_baseline(tmp_path, record())
+    assert check_record(record(seed=1), tmp_path) == ["seed: baseline 0, measured 1"]
 
 
-def test_equal_digest_within_threshold_passes():
-    comparison = compare_records(record(wall=1.05), record(wall=1.0), threshold=0.15)
-    assert comparison.status == STATUS_OK
-    assert not comparison.failed
-    assert not any("digest" in note for note in comparison.notes)
-
-
-def test_workload_mismatch_is_never_gated():
-    comparison = compare_records(
-        record(wall=10.0, job_count=300), record(wall=1.0), threshold=0.15
-    )
-    assert comparison.status == STATUS_OK
-    assert any("workload mismatch" in note for note in comparison.notes)
-
-
-def test_different_job_count_is_not_gated_on_its_digest():
-    comparison = compare_records(
-        record(wall=1.0, job_count=300, metrics_digest="digest-300"), record(wall=1.0)
-    )
-    assert comparison.status == STATUS_OK
-    assert not comparison.failed
-
-
-def test_host_mismatch_is_never_gated():
-    comparison = compare_records(
-        record(wall=10.0, host="Darwin-arm64"), record(wall=1.0), threshold=0.15
-    )
-    assert comparison.status == STATUS_OK
-    assert any("host mismatch" in note for note in comparison.notes)
-
-
-def test_python_feature_release_mismatch_is_never_gated():
-    comparison = compare_records(
-        record(wall=10.0, python_version="3.9.18"), record(wall=1.0), threshold=0.15
-    )
-    assert comparison.status == STATUS_OK
-    assert any("host mismatch" in note for note in comparison.notes)
-
-
-def test_python_micro_release_difference_still_gates():
-    comparison = compare_records(
-        record(wall=1.3, python_version="3.12.7"), record(wall=1.0), threshold=0.15
-    )
-    assert comparison.status == STATUS_REGRESSION
-
-
-def test_cache_hits_are_called_out():
-    comparison = compare_records(record(wall=0.01, cache_hits=4), record(wall=1.0))
-    assert any("cache" in note for note in comparison.notes)
-
-
-# ---------------------------------------------------------------------------
-# Gating against a baseline directory
-# ---------------------------------------------------------------------------
-
-
-def test_missing_baseline_bootstraps_cleanly(tmp_path):
-    current = record(wall=1.0)
-    comparison = check_record(current, directory=tmp_path)
-    assert comparison.status == STATUS_BOOTSTRAPPED
-    assert not comparison.failed
-    # The record itself became the committed baseline...
-    stored = load_baseline(tmp_path, "figure7")
-    assert stored is not None
-    assert stored.wall_clock_seconds == current.wall_clock_seconds
-    # ...so an identical second run gates cleanly against it.
-    assert check_record(record(wall=1.0), directory=tmp_path).status == STATUS_OK
-
-
-def test_cache_hit_records_never_become_baselines(tmp_path):
-    comparison = check_record(record(cache_hits=2), directory=tmp_path)
-    assert comparison.status == STATUS_BOOTSTRAPPED
-    assert load_baseline(tmp_path, "figure7") is None
-
-
-def test_check_record_detects_regression_against_saved_baseline(tmp_path):
-    save_baseline(tmp_path, record(wall=1.0))
-    comparison = check_record(record(wall=1.2), directory=tmp_path, threshold=0.15)
-    assert comparison.status == STATUS_REGRESSION
-    assert comparison.failed
+def test_missing_baseline_fails_and_writes_nothing(tmp_path):
+    failures = check_record(record(), tmp_path)
+    assert failures == [f"no baseline at {tmp_path / 'BENCH_figure7.json'}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_baseline_round_trips_through_json(tmp_path):
-    original = record(wall=1.234)
-    save_baseline(tmp_path, original)
-    loaded = load_baseline(tmp_path, "figure7")
-    assert loaded == original
+    path = save_baseline(tmp_path / "new", record())
+    assert path == tmp_path / "new" / "BENCH_figure7.json"
+    assert json.loads(path.read_text(encoding="utf-8")) == asdict(record())
 
 
-def test_calendar_era_baseline_still_gates_a_record_without_the_queue_field(tmp_path):
-    """The committed baselines carry ``"queue": "calendar"`` from before the
-    kernel went heap-only; records no longer name a queue, and the gate must
-    still compare them instead of waving every slowdown through."""
-    baseline = record(wall=1.0).to_dict()
-    baseline["queue"] = "calendar"
-    (tmp_path / "BENCH_figure7.json").write_text(json.dumps(baseline), encoding="utf-8")
-    current = record(wall=1.3)
-    assert "queue" not in current.to_dict()
-    comparison = check_record(current, directory=tmp_path, threshold=0.15)
-    assert comparison.status == STATUS_REGRESSION
-    assert comparison.failed
+def test_stale_baseline_field_fails_the_gate(tmp_path):
+    """A baseline from before the gate was exact carries fields records no
+    longer have (``"queue": "calendar"``, wall-clock seconds); it fails until
+    ``--update`` rewrites it, instead of passing on the fields both share."""
+    stale = json.loads(save_baseline(tmp_path, record()).read_text())
+    stale["queue"] = "calendar"
+    stale["wall_clock_seconds"] = 0.129
+    (tmp_path / "BENCH_figure7.json").write_text(json.dumps(stale), encoding="utf-8")
+    assert check_record(record(), tmp_path) == [
+        "queue: baseline calendar, measured None",
+        "wall_clock_seconds: baseline 0.129, measured None",
+    ]
+
+
+def test_baseline_missing_a_field_fails_the_gate(tmp_path):
+    """A hand-edited or truncated baseline cannot pass on the fields it kept."""
+    truncated = json.loads(save_baseline(tmp_path, record()).read_text())
+    del truncated["events_processed"]
+    (tmp_path / "BENCH_figure7.json").write_text(json.dumps(truncated), encoding="utf-8")
+    assert check_record(record(), tmp_path) == [
+        "events_processed: baseline None, measured 16163"
+    ]
+
+
+def test_saving_again_replaces_the_baseline(tmp_path):
+    save_baseline(tmp_path, record())
+    save_baseline(tmp_path, record(events_processed=16_000, metrics_digest="digest-2"))
+    replacement = record(events_processed=16_000, metrics_digest="digest-2")
+    assert check_record(replacement, tmp_path) == []
+    assert len(check_record(record(), tmp_path)) == 2
+
+
+def test_committed_baselines_hold_exactly_the_record_fields():
+    """Every committed baseline names a benchable scenario in its file name
+    and holds the current record fields at the size CI gates it at —
+    shard-replay too, which no test runs at its full 500,000 jobs."""
+    committed = {
+        path.stem[len("BENCH_"):]: json.loads(path.read_text(encoding="utf-8"))
+        for path in COMMITTED.glob("BENCH_*.json")
+    }
+    assert set(committed) == {
+        "figure7", "trace-replay", "fault-sweep", "churn-replay", "shard-replay"
+    }
+    for scenario, baseline in committed.items():
+        assert set(baseline) == {field.name for field in fields(BenchRecord)}
+        assert baseline["scenario"] == scenario and scenario in benchable_scenarios()
+        assert baseline["format"] == BENCH_FORMAT and baseline["seed"] == 0
+        assert baseline["job_count"] == (500_000 if scenario == "shard-replay" else 40)

@@ -182,3 +182,30 @@ def test_cli_serve_rejects_garbage_budget(tmp_path, capsys):
         == 2
     )
     assert "cannot parse size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["inf", "1e400"])
+def test_cli_serve_rejects_a_non_finite_budget(tmp_path, capsys, budget):
+    assert (
+        main(
+            ["serve", "--socket", str(tmp_path / "x.sock"),
+             "--store-dir", str(tmp_path / "store"),
+             "--store-budget", budget]
+        )
+        == 2
+    )
+    assert "error: size must be finite" in capsys.readouterr().err
+
+
+def test_cli_serve_rejects_a_non_finite_budget_from_the_environment(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("REPRO_STORE_BUDGET", "inf")
+    assert (
+        main(
+            ["serve", "--socket", str(tmp_path / "x.sock"),
+             "--store-dir", str(tmp_path / "store")]
+        )
+        == 2
+    )
+    assert "error: size must be finite" in capsys.readouterr().err

@@ -50,7 +50,9 @@ def test_parse_size_accepts_human_sizes(text, expected):
     assert parse_size(text) == expected
 
 
-@pytest.mark.parametrize("text", ["garbage", "12Q", "M", "-1", "0", -5, 0])
+@pytest.mark.parametrize(
+    "text", ["garbage", "12Q", "M", "-1", "0", -5, 0, "inf", "1e400", float("inf")]
+)
 def test_parse_size_rejects_garbage_and_nonpositive(text):
     with pytest.raises(ValueError):
         parse_size(text)

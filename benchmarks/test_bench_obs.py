@@ -1,25 +1,21 @@
 """Cost of the observability layer.
 
-Two claims, checked separately: structurally, a run without tracing never
-touches the tracer machinery (the kernel keeps its raw heap-push fast path
-and checks a single attribute to pick the plain ``heappop`` for its event
-loop); and empirically, the disabled path costs no more than 2% against a
-run tracing into a null sink — i.e. the *entire* tracing overhead, sink
-included, is bounded, so the disabled path's share is provably below it.
+The disabled path costs no more than 2% against a run tracing into a null
+sink: the *entire* tracing overhead, sink included, is bounded, so the
+disabled path's share is provably below it.  That a run without tracing
+never touches the tracer machinery is checked in
+``tests/obs/test_traced_runs.py``.
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
-from heapq import heappush
 
 import pytest
 
 from _bench_env import bench_seed
 from repro.experiments.setup import ExperimentConfig, run_experiment
-from repro.obs.trace import NullSink, Tracer
-from repro.sim import Environment
+from repro.obs.trace import NullSink
 
 pytestmark = pytest.mark.bench  # deselected by default (see pyproject.toml); run with -m bench
 
@@ -34,36 +30,6 @@ def _config(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
-
-
-def _pushes_raw(env) -> bool:
-    """Whether *env* schedules through the plain ``heappush`` binding."""
-    push = env._push
-    return isinstance(push, partial) and push.func is heappush and push.args[0] is env._heap
-
-
-def test_disabled_tracing_keeps_the_raw_fast_path():
-    env = Environment()
-    assert env._tracer is None
-    assert _pushes_raw(env)
-    tracer = Tracer(NullSink())
-    env.set_tracer(tracer)
-    assert not _pushes_raw(env)
-    env.set_tracer(None)
-    assert _pushes_raw(env)
-
-
-def test_run_experiment_without_trace_never_attaches_a_tracer(monkeypatch):
-    attached = []
-    original = Environment.set_tracer
-
-    def spy(self, tracer):
-        attached.append(tracer)
-        return original(self, tracer)
-
-    monkeypatch.setattr(Environment, "set_tracer", spy)
-    run_experiment(_config(job_count=8))
-    assert attached == []
 
 
 def test_bench_disabled_overhead_is_within_two_percent(monkeypatch):

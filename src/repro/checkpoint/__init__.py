@@ -44,7 +44,6 @@ from repro.checkpoint.shard import (
     plan_windows,
     shard_bench_config,
     shard_replay,
-    shard_replay_bench,
 )
 from repro.experiments.setup import SimulationRun
 
@@ -70,7 +69,6 @@ __all__ = [
     "save_checkpoint",
     "shard_bench_config",
     "shard_replay",
-    "shard_replay_bench",
     "step_until",
     "validate_envelope",
     "workload_digest",

@@ -61,8 +61,8 @@ def run_checkpointed(
     Returns a summary dict: the merged window, completion flags, checkpoint
     paths and the last envelope.
     """
-    if checkpoint_every <= 0:
-        raise ValueError("checkpoint_every must be positive")
+    if not checkpoint_every > 0:
+        raise ValueError(f"checkpoint_every must be > 0, got {checkpoint_every!r}")
     if run is None:
         run = SimulationRun.fresh(
             config, workload=workload, retain_jobs=False, collect_windowed=True

@@ -19,8 +19,8 @@ deterministically:
   in-process — the result is always exact, sharding is only a speed-up;
 * per-window :class:`~repro.metrics.windowed.WindowedMetrics` merge
   commutatively, and the merged completion digest equals the serial run's —
-  checked in the test suite; the ``repro-bench shard-replay`` gate pins the
-  digest and the event count of a 500k-job replay to its committed baseline.
+  checked in the test suite; ``tests/golden`` pins the digest and the event
+  count of a 500k-job replay.
 
 Sharding shares the native-capture support envelope
 (:func:`~repro.checkpoint.capture.native_unsupported_reason`): the
@@ -87,8 +87,8 @@ class ShardReplayResult:
 
 def plan_windows(workload: WorkloadSpec, *, min_gap: float = DEFAULT_MIN_GAP) -> List[ShardWindow]:
     """Cut *workload* at submit-time gaps of at least *min_gap* seconds."""
-    if min_gap <= 0:
-        raise ValueError("min_gap must be positive")
+    if not min_gap > 0:
+        raise ValueError(f"min_gap must be > 0, got {min_gap!r}")
     jobs = workload.jobs
     if not jobs:
         return []
@@ -331,24 +331,3 @@ def shard_bench_config(job_count: int, seed: int = 0) -> ExperimentConfig:
         background_fraction=0.0,
         time_limit=4.0e9,
     )
-
-
-def shard_replay_bench(*, job_count: int, seed: int = 0) -> Dict[str, Any]:
-    """Benchmark hook: one sharded replay of the bench config at *job_count* jobs.
-
-    Returns the run count, kernel events and merged-window digest that
-    :func:`repro.bench.runner.run_bench` puts in a
-    :class:`~repro.bench.runner.BenchRecord`, and the finished job count.
-    """
-    result = shard_replay(shard_bench_config(job_count, seed))
-    if not result.all_done:
-        raise RuntimeError(
-            f"shard-replay bench did not complete all {job_count} jobs "
-            f"({result.metrics.jobs} finished)"
-        )
-    return {
-        "runs": 1,
-        "events_processed": result.events_processed,
-        "metrics_digest": result.metrics.digest,
-        "jobs": result.metrics.jobs,
-    }

@@ -850,6 +850,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             try:
                 overrides = _overrides_from(args)
+                # Expand the configurations before any runs, so a bad value
+                # (a NaN --time-limit) fails as an argument error.
+                spec.expand(job_count=args.job_count, seed=args.seed, overrides=overrides)
             except ValueError as error:
                 parser.error(str(error))
                 return 2  # pragma: no cover - parser.error raises
@@ -959,7 +962,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 workers=args.workers,
                 force_sequential=args.sequential,
             )
-        except CheckpointUnsupported as error:
+        except (CheckpointUnsupported, ValueError) as error:
             parser.error(str(error))
             return 2  # pragma: no cover - parser.error raises
         lines = [

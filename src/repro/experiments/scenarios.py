@@ -84,14 +84,6 @@ class ScenarioSpec:
         Renders the merged results into the figure's plain-text report.
     builder:
         For static scenarios only: renders the report directly, no sweep.
-    bench:
-        Optional custom benchmark hook: ``bench(job_count=..., seed=...)``
-        returning at least ``runs``, ``events_processed`` and
-        ``metrics_digest``.  When set, ``repro-bench`` runs the hook instead
-        of the config grid and gates what it returns — used by scenarios
-        whose interesting execution path is not
-        :func:`~repro.experiments.setup.run_experiment` (the sharded-replay
-        engine).  The scenario stays a normal sweep for ``repro-cli run``.
     """
 
     name: str
@@ -102,7 +94,6 @@ class ScenarioSpec:
     default_job_count: int = 300
     reporter: Optional[Reporter] = None
     builder: Optional[Callable[[], str]] = None
-    bench: Optional[Callable[..., Dict[str, Any]]] = None
 
     @property
     def is_static(self) -> bool:
@@ -835,13 +826,6 @@ def tournament_scenario(
     )
 
 
-def _shard_replay_bench(**kwargs) -> Dict[str, Any]:
-    """Lazy import so the scenario registry never pulls in the shard engine."""
-    from repro.checkpoint.shard import shard_replay_bench
-
-    return shard_replay_bench(**kwargs)
-
-
 def _shard_replay_report(results: Dict[str, ExperimentResult]) -> str:
     lines = ["Sharded replay - deterministic bursty rigid workload", ""]
     for label in sorted(results):
@@ -856,7 +840,7 @@ def shard_replay_scenario() -> ScenarioSpec:
     The base mirrors :func:`repro.checkpoint.shard.shard_bench_config`
     field-for-field (a test pins the equality), so ``repro-cli run
     shard-replay --job-count 2000`` simulates exactly the configuration whose
-    shard-engine digest and event count ``repro-bench shard-replay`` gates.
+    shard-engine digest and event count ``tests/golden`` pins at 500,000 jobs.
     """
     return ScenarioSpec(
         name="shard-replay",
@@ -874,7 +858,6 @@ def shard_replay_scenario() -> ScenarioSpec:
         variants=(ScenarioVariant("shard-bursts/rigid"),),
         default_job_count=500_000,
         reporter=_shard_replay_report,
-        bench=_shard_replay_bench,
     )
 
 

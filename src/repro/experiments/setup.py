@@ -183,6 +183,9 @@ class ExperimentConfig:
     trace: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # Written so that NaN fails too: a NaN limit never stops a run.
+        if not float(self.time_limit) > 0:
+            raise ValueError(f"time_limit must be > 0, got {self.time_limit!r}")
         # Validate and canonicalise the policy references now, not when the
         # scheduler is eventually built (the dataclass is frozen, hence the
         # object.__setattr__ dance).
@@ -316,8 +319,8 @@ class ExperimentResult:
     should use :attr:`workload_duration`, which survives every path.
 
     ``events_processed`` is the number of kernel events the simulation's run
-    loop processed.  ``repro-bench --check`` requires a scenario's summed
-    count to equal its committed baseline exactly.
+    loop processed.  The exact cases under ``tests/golden`` require each
+    run's count to equal its committed value.
     """
 
     config: ExperimentConfig

@@ -73,8 +73,8 @@ class FaultEvent:
     graceful: bool = False
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("fault events cannot happen before time 0")
+        if not self.time >= 0:
+            raise ValueError(f"fault event time must be >= 0, got {self.time!r}")
         if self.processors < 1:
             raise ValueError("a fault event must cover at least one processor")
         if self.kind not in (KIND_FAIL, KIND_REPAIR):
@@ -176,9 +176,9 @@ def exponential_churn(
     *mttr* its mean time to repair; *start* delays the first possible
     failure.  The classic memoryless availability model.
     """
-    if mtbf <= 0 or mttr <= 0:
+    if not (mtbf > 0 and mttr > 0):
         raise ValueError("mtbf and mttr must be positive")
-    if start < 0:
+    if not start >= 0:
         raise ValueError("start must be non-negative")
     return _renewal_churn(
         rng,
@@ -203,11 +203,11 @@ def weibull_churn(
     The Weibull scale is derived from *mtbf* so the mean uptime equals it
     regardless of *shape*; repairs stay exponential with mean *mttr*.
     """
-    if mtbf <= 0 or mttr <= 0:
+    if not (mtbf > 0 and mttr > 0):
         raise ValueError("mtbf and mttr must be positive")
-    if shape <= 0:
+    if not shape > 0:
         raise ValueError("shape must be positive")
-    if start < 0:
+    if not start >= 0:
         raise ValueError("start must be non-negative")
     scale = mtbf / math.gamma(1.0 + 1.0 / shape)
     return _renewal_churn(
@@ -234,11 +234,11 @@ def _cluster_window_events(
     nodes: int,
     graceful: bool,
 ) -> Iterator[FaultEvent]:
-    if at < 0:
+    if not at >= 0:
         raise ValueError("at must be non-negative")
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError("duration must be positive")
-    if every is not None and every <= 0:
+    if every is not None and not every > 0:
         raise ValueError("every must be positive")
     if every is not None and every < duration:
         # Overlapping windows would emit a non-time-ordered stream (the next

@@ -829,8 +829,8 @@ class ExperimentService:
                 f"'checkpoint_every' must be a number of simulated seconds, "
                 f"got {every!r}"
             ) from None
-        if every <= 0:
-            raise _BadRequest("'checkpoint_every' must be positive")
+        if not every > 0:
+            raise _BadRequest(f"'checkpoint_every' must be > 0, got {every!r}")
         assert self._slots is not None and self._pool is not None
         directory = self.store.directory / "checkpoints" / key
         async with self._slots:

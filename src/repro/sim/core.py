@@ -110,9 +110,9 @@ class Environment:
     def processed_events(self) -> int:
         """Total number of events this environment has processed so far.
 
-        Maintained by the run loop.  It counts work, not time, so
-        ``repro-bench --check`` requires a scenario's summed count to equal
-        its committed baseline exactly.
+        Maintained by the run loop.  It counts work, not time, so the exact
+        cases under ``tests/golden`` require each run's count to equal its
+        committed value.
         """
         return self._events_processed
 
@@ -135,8 +135,8 @@ class Environment:
         """
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
+            if not delay >= 0:
+                raise ValueError(f"delay must be >= 0, got {delay}")
             event = pool.pop()
             event._delay = delay
             event._ok = True
@@ -201,9 +201,9 @@ class Environment:
         in IEEE floating point, so rehydrated events must be pushed at *at*
         itself to land back on the exact original drain order.
         """
-        if at < self._now:
+        if not at >= self._now:
             raise ValueError(
-                f"cannot schedule at {at}, earlier than the current time {self._now}"
+                f"cannot schedule at {at}, not at or after the current time {self._now}"
             )
         self._eid = eid = self._eid + 1
         self._push((at, priority, eid, event))
@@ -216,9 +216,9 @@ class Environment:
         completion time was recorded absolutely must finish at that exact
         float, not at ``now + delta``.
         """
-        if at < self._now:
+        if not at >= self._now:
             raise ValueError(
-                f"timeout_at({at}) lies before the current time {self._now}"
+                f"timeout_at({at}) does not lie at or after the current time {self._now}"
             )
         pool = self._timeout_pool
         if pool:
@@ -360,9 +360,9 @@ class Environment:
             stop = until
         elif until is not None:
             horizon = float(until)
-            if horizon < self._now:
+            if not horizon >= self._now:
                 raise ValueError(
-                    f"until ({horizon}) must not be earlier than the current time ({self._now})"
+                    f"until ({horizon}) must be at or after the current time ({self._now})"
                 )
 
         heap = self._heap

@@ -189,8 +189,8 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
         # Timeouts are the most allocated event of a simulation run: the
         # fields are set inline (no ``super().__init__`` / ``env.schedule``
         # call chain), and already-fired plain sleeps are recycled through

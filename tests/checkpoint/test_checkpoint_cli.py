@@ -32,6 +32,21 @@ def test_shard_replay_command(capsys):
     assert "metrics digest:" in output
 
 
+@pytest.mark.parametrize("gap", ["0", "-1", "nan"])
+def test_shard_replay_rejects_a_min_gap_that_is_not_positive(capsys, gap):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["shard-replay", "--job-count", "400", "--min-gap", gap])
+    assert exit_info.value.code == 2
+    assert "min_gap must be > 0" in capsys.readouterr().err
+
+
+def test_checkpointed_rejects_a_nan_interval(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["checkpointed", "--scenario", "figure7", "--job-count", "5", "--every", "nan"])
+    assert exit_info.value.code == 2
+    assert "checkpoint_every must be > 0" in capsys.readouterr().err
+
+
 def test_checkpointed_defaults_to_replay_outside_native_envelope(capsys):
     # figure7 is malleable — native capture is impossible, so the run must
     # fall back to replay instead of erroring out.

@@ -83,14 +83,22 @@ def test_checkpointed_op_runs_and_matches_serial(tmp_path, case):
     assert leftovers == []
 
 
-def test_checkpointed_op_validates_interval(tmp_path):
+@pytest.mark.parametrize("every", [0, "nan"])
+def test_checkpointed_op_validates_interval(tmp_path, every):
     service = ExperimentService(tmp_path, workers=1)
     response = _dispatch(
         service,
-        {"op": "checkpointed", "config": _config_fields(), "checkpoint_every": 0},
+        {"op": "checkpointed", "config": _config_fields(), "checkpoint_every": every},
     )
     assert not response["ok"]
     assert response["error"]["code"] == "bad_request"
+
+
+def test_run_checkpointed_rejects_a_nan_interval():
+    from repro.checkpoint import run_checkpointed
+
+    with pytest.raises(ValueError, match="checkpoint_every must be > 0"):
+        run_checkpointed(ExperimentConfig(), checkpoint_every=float("nan"))
 
 
 def test_checkpointed_op_rejects_bad_config(tmp_path):

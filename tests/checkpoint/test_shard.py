@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.runner import run_bench
 from repro.checkpoint import (
     CheckpointUnsupported,
     SimulationRun,
     plan_windows,
     shard_bench_config,
     shard_replay,
-    shard_replay_bench,
 )
 from repro.experiments.scenarios import get_scenario
 from repro.workloads.bursts import burst_workload
@@ -49,9 +47,12 @@ def test_plan_windows_empty_workload():
     assert plan_windows(burst_workload(0)) == []
 
 
-def test_plan_windows_rejects_bad_gap():
-    with pytest.raises(ValueError):
-        plan_windows(burst_workload(10), min_gap=0.0)
+@pytest.mark.parametrize("gap", [0.0, -1.0, float("nan")])
+def test_plan_windows_rejects_bad_gap(gap):
+    # A NaN gap used to pass: every gap comparison is False, so the whole
+    # workload replayed as one window.
+    with pytest.raises(ValueError, match="min_gap must be > 0"):
+        plan_windows(burst_workload(10), min_gap=gap)
 
 
 # -- exactness ---------------------------------------------------------------
@@ -138,34 +139,22 @@ def test_burst_workload_gap_structure():
     assert all(g == 2.0 for g in gaps if g != 902.0)
 
 
-# -- scenario / bench integration -------------------------------------------
+# -- scenario / bench config ------------------------------------------------
 
 
 def test_scenario_base_matches_bench_config():
-    """The registered scenario and the bench hook pin the same config."""
+    """The registered scenario and ``shard_bench_config`` pin the same config."""
     spec = get_scenario("shard-replay")
     expected = shard_bench_config(1234, seed=7)
     _label, config = spec.expand(job_count=1234, seed=7)[0]
     assert config.to_dict() == expected.to_dict()
     assert spec.default_job_count == 500_000
-    assert spec.bench is not None
-
-
-def test_run_bench_uses_the_shard_hook():
-    record, seconds = run_bench("shard-replay", job_count=300, seed=0)
-    assert (record.scenario, record.job_count, record.seed) == ("shard-replay", 300, 0)
-    assert record.runs == 1
-    assert record.events_processed > 0
-    assert seconds > 0
-    # The digest is the shard engine's merged-window digest.
-    direct = shard_replay_bench(job_count=300, seed=0)
-    assert record.metrics_digest == direct["metrics_digest"]
-    assert record.events_processed == direct["events_processed"]
 
 
 def test_bench_hook_digest_matches_serial():
     config = shard_bench_config(300, seed=0)
     reference = _serial_digest(config, None)
-    measured = shard_replay_bench(job_count=300, seed=0)
-    assert measured["metrics_digest"] == reference
-    assert measured["jobs"] == 300
+    measured = shard_replay(config)
+    assert measured.all_done
+    assert measured.metrics.digest == reference
+    assert measured.metrics.jobs == 300

@@ -228,6 +228,38 @@ def test_custom_rejects_bad_policy_arg():
         )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["custom", "--job-count", "5", "--time-limit", "nan"],
+        ["custom", "--job-count", "5", "--time-limit", "0"],
+        ["run", "figure7", "--job-count", "5", "--no-cache", "--time-limit", "nan"],
+        ["sweep", "figure7", "--job-count", "5", "--no-cache", "--time-limit", "-1"],
+        ["custom", "--job-count", "5", "--mtbf", "nan"],
+        ["custom", "--job-count", "5", "--mtbf", "3600", "--mttr", "nan"],
+    ],
+    ids=[
+        "custom-time-limit-nan",
+        "custom-time-limit-0",
+        "run-time-limit-nan",
+        "sweep-time-limit-negative",
+        "mtbf-nan",
+        "mttr-nan",
+    ],
+)
+def test_times_no_run_can_reach_are_argument_errors(capsys, argv):
+    # A NaN time limit or MTBF used to make the command run forever.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_an_infinite_time_limit_still_runs(capsys):
+    assert main(["custom", "--job-count", "3", "--time-limit", "inf"]) == 0
+    assert "FPSMA/Wm" in capsys.readouterr().out
+
+
 def test_policy_arg_requires_a_policy():
     with pytest.raises(SystemExit):
         main(["custom", "--policy", "none", "--policy-arg", "balance=absolute"])

@@ -57,6 +57,7 @@ def test_result_record_round_trips_through_json():
     assert restored.simulated_time == result.simulated_time
     assert restored.workload is None
     assert restored.workload_duration == result.workload_duration
+    assert restored.events_processed == result.events_processed > 0
     assert dump(restored.metrics) == dump(result.metrics)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.experiments.setup import (
@@ -36,6 +38,14 @@ def test_config_label_and_overrides():
     tweaked = config.with_overrides(malleability_policy=None, workload="Wmr")
     assert tweaked.label == "none/Wmr"
     assert config.label == "EGS/Wm"  # original untouched
+
+
+@pytest.mark.parametrize("limit", ["NaN", "0", "-1"])
+def test_config_rejects_a_time_limit_that_is_not_positive(limit):
+    # Through the daemon's submit parser: JSON allows NaN, and a run with a
+    # NaN limit never stops.
+    with pytest.raises(ValueError, match="time_limit must be > 0"):
+        ExperimentConfig.from_fields(json.loads(f'{{"time_limit": {limit}}}'))
 
 
 def test_build_workload_accepts_all_paper_names():

@@ -50,13 +50,6 @@ def test_trace_scenarios_are_registered():
     assert len(set(factors)) == len(factors)
 
 
-def test_trace_replay_appears_in_benchable_scenarios():
-    from repro.bench.runner import benchable_scenarios
-
-    assert "trace-replay" in benchable_scenarios()
-    assert "trace-load-sweep" in benchable_scenarios()
-
-
 # -- cross-policy smoke grid ---------------------------------------------------
 
 

@@ -63,6 +63,26 @@ def test_validate_rejects_unknown_parameters_pointedly():
         FaultRef.parse("fault:exp?mtbf=-1").validate()
 
 
+@pytest.mark.parametrize(
+    "reference",
+    [
+        "fault:exp?mtbf=nan",
+        "fault:exp?mtbf=3600&mttr=nan",
+        "fault:exp?start=nan",
+        "fault:weibull?mtbf=nan",
+        "fault:weibull?shape=nan",
+        "fault:outage?at=nan",
+        "fault:outage?duration=nan",
+        "fault:drain?duration=60&every=nan",
+    ],
+)
+def test_validate_rejects_nan_parameters(reference):
+    # Every check is written so that NaN fails it: a NaN time reaches the
+    # kernel as a delay no run can pass.
+    with pytest.raises(ValueError, match="must be"):
+        FaultRef.parse(reference).validate()
+
+
 def test_fault_reference_string_is_the_config_normaliser():
     assert (
         fault_reference_string("exp?mttr=60&mtbf=120")
@@ -210,6 +230,13 @@ def test_parse_fault_trace_reports_line_numbers():
         parse_fault_trace("10 alpha explode 1")
     with pytest.raises(ValueError, match="malformed numbers"):
         parse_fault_trace("ten alpha down 1")
+
+
+@pytest.mark.parametrize("time", ["-1", "nan"])
+def test_parse_fault_trace_rejects_times_before_zero(time):
+    # A NaN time used to pass, and the injector applied it at once.
+    with pytest.raises(ValueError, match="fault event time must be >= 0"):
+        parse_fault_trace(f"{time} alpha down 1")
 
 
 def test_trace_model_checks_clusters_and_existence(tmp_path):

@@ -168,3 +168,19 @@ def test_disabled_tracing_leaves_the_hot_path_untouched():
     assert not _pushes_raw(env)
     env.set_tracer(None)
     assert _pushes_raw(env)
+
+
+def test_run_experiment_without_trace_never_attaches_a_tracer(monkeypatch):
+    from repro.sim.core import Environment
+
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    attached = []
+    original = Environment.set_tracer
+
+    def spy(self, tracer):
+        attached.append(tracer)
+        return original(self, tracer)
+
+    monkeypatch.setattr(Environment, "set_tracer", spy)
+    run_experiment(_config(0, "FPSMA"))
+    assert attached == []

@@ -518,6 +518,11 @@ def test_malformed_requests_get_errors_and_the_daemon_survives(daemon, tiny_reco
             client.submit({"workload": "Wm", "placement_policy": "NOPE"})
         assert excinfo.value.code == "bad_config"
         assert "SJF" in str(excinfo.value)  # the registered names are listed
+        # A NaN time limit (JSON allows it) would hold a worker forever.
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(dict(tiny_config().to_dict(), time_limit=float("nan")))
+        assert excinfo.value.code == "bad_config"
+        assert "time_limit must be > 0" in str(excinfo.value)
         # Non-mapping config.
         with pytest.raises(ServiceError) as excinfo:
             client.request("submit", config=[1, 2])

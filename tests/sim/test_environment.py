@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Timeout
 
 
 def test_clock_starts_at_initial_time():
@@ -102,16 +102,43 @@ def test_events_drain_in_time_priority_insertion_order():
     assert env.pending_entries() == []
 
 
+@pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "pooled"])
+def test_nan_times_are_rejected_and_push_nothing(pooled):
+    # ``nan < 0`` is False, and a NaN heap key never lets a run end.
+    nan = float("nan")
+    env = Environment()
+    if pooled:
+
+        def sleeper(env):
+            yield env.timeout(1.0)
+
+        env.process(sleeper(env))
+        env.run()
+    assert bool(env._timeout_pool) is pooled
+    before = env.kernel_state()
+    with pytest.raises(ValueError):
+        env.timeout(nan)
+    with pytest.raises(ValueError):
+        Timeout(env, nan)
+    with pytest.raises(ValueError):
+        env.timeout_at(nan)
+    with pytest.raises(ValueError):
+        env.schedule_at(env.event(), nan)
+    assert env.kernel_state() == before
+
+
 def test_resolve_queue_name_names_the_heap():
     from repro.sim.calqueue import resolve_queue_name
 
     assert resolve_queue_name() == "heap"
 
 
-def test_run_until_past_time_rejected():
+@pytest.mark.parametrize("until", [4.0, float("nan")])
+def test_run_until_past_time_rejected(until):
     env = Environment(initial_time=5.0)
     with pytest.raises(ValueError):
-        env.run(until=4.0)
+        env.run(until=until)
+    assert env.now == 5.0
 
 
 def test_run_until_current_time_is_a_noop():

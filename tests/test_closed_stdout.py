@@ -55,9 +55,3 @@ def test_repro_cli_trace_views_survive_a_closed_pipe(trace_file, view):
     assert "BrokenPipeError" not in completed.stderr
     assert completed.returncode == 1
 
-
-def test_repro_bench_survives_a_closed_pipe():
-    completed = _run_with_closed_stdout("repro.bench.cli", "--list")
-    assert "Traceback" not in completed.stderr
-    assert "BrokenPipeError" not in completed.stderr
-    assert completed.returncode == 1

@@ -25,10 +25,10 @@ Capture happens at a *safe point*: a time by which every earlier event has
 drained and no transient scheduler activity (claim settlement, GRAM
 submission flight, placement) is in progress — :func:`advance_to_safe_point`
 advances the simulation to the next such time.  At a safe point the
-pending event queue of a native-capturable run consists of nothing but
-process-resumption timeouts owned by three known process families (workload
-submitter, KIS poll loop, running rigid applications); the capture walks the
-queue and classifies every entry, refusing loudly on anything else.
+pending event queue of a native-capturable run holds nothing but timeouts
+of three kinds (a workload-submitter link, a KIS poll link, a running rigid
+application's process resumption); the capture classifies every entry by
+its callback's function and owner, refusing loudly on anything else.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.envelope import CHECKPOINT_FORMAT, CheckpointUnsupported
 from repro.koala.job import JobState
+from repro.koala.kis import KoalaInformationService
 from repro.sim.core import Environment
 from repro.sim.process import Process
+from repro.workloads.submission import WorkloadSubmitter
 
 #: Placement policies whose decisions depend only on the current idle view —
 #: no retained state across events — making the rebuilt scheduler's future
@@ -85,10 +87,10 @@ def native_unsupported_reason(config, workload) -> Optional[str]:
     """Why *config*/*workload* falls outside the native-capture envelope.
 
     ``None`` means native capture is supported.  The envelope is deliberately
-    conservative: every feature listed here either keeps long-lived processes
-    whose generator frames cannot be serialised (malleable applications,
-    fault injectors) or draws from a random stream in ways the rebuilt run
-    would not repeat bit-exactly (GRAM latency jitter, background load).
+    conservative: every feature listed here either keeps state capture does
+    not serialise (malleable applications' generator frames, a fault model's
+    event iterator) or draws from random streams in ways a rebuilt run would
+    not repeat bit-exactly (faults, GRAM latency jitter, background load).
     Replay-mode capture covers all of them.
     """
     if config.malleability_policy is not None:
@@ -97,7 +99,7 @@ def native_unsupported_reason(config, workload) -> Optional[str]:
             "inside application process frames"
         )
     if config.fault_model is not None:
-        return "fault injection keeps an in-flight injector process"
+        return "fault injection keeps a fault model's event iterator and random streams"
     if config.gram_latency_jitter != 0.0:
         return "GRAM latency jitter draws from a random stream per submission"
     from repro.experiments.setup import default_background
@@ -218,19 +220,17 @@ def _classify_pending(run) -> Tuple[List[Dict[str, Any]], Dict[str, str]]:
     """Classify every pending queue entry of a safe-point native capture.
 
     Returns ``(intents, finish_of)``: the intent list (one per pending
-    timeout, ascending event id — the order restore re-creates their owner
-    processes in) and the completion instant of each running job (hex).
-    Raises :class:`CheckpointUnsupported` on any entry that is not a plain
-    process-resumption timeout owned by a known process.
+    timeout, ascending event id — the order restore re-creates their owners
+    in) and the completion instant of each running job (hex).  Raises
+    :class:`CheckpointUnsupported` on any entry whose one callback is not a
+    known function of a known owner: the submitter's link, the KIS poll link,
+    or ``Process._resume`` of a running application's process.
     """
     scheduler = run.scheduler
-    owners: Dict[int, Tuple[str, Optional[str]]] = {}
-    submit_process = run.submitter._process
-    if submit_process is not None:
-        owners[id(submit_process)] = ("submit", None)
-    kis_process = scheduler.kis._poll_process
-    if kis_process is not None:
-        owners[id(kis_process)] = ("kis", None)
+    owners: Dict[Tuple[Any, int], Tuple[str, Optional[str]]] = {
+        (WorkloadSubmitter._submit_link, id(run.submitter)): ("submit", None),
+        (KoalaInformationService._poll_link, id(scheduler.kis)): ("kis", None),
+    }
     for job in scheduler._running.values():
         runner = scheduler._runners[job.job_id]
         application = runner.application
@@ -238,7 +238,7 @@ def _classify_pending(run) -> Tuple[List[Dict[str, Any]], Dict[str, str]]:
             raise CheckpointUnsupported(
                 f"running job {job.name!r} has no application process to capture"
             )
-        owners[id(application._process)] = ("app", job.name)
+        owners[(Process._resume, id(application._process))] = ("app", job.name)
 
     intents: List[Dict[str, Any]] = []
     finish_of: Dict[str, str] = {}
@@ -248,19 +248,16 @@ def _classify_pending(run) -> Tuple[List[Dict[str, Any]], Dict[str, str]]:
             raise CheckpointUnsupported(
                 f"pending event {event!r} at t={time} has "
                 f"{0 if callbacks is None else len(callbacks)} callbacks "
-                f"(expected exactly one process resumption)"
+                f"(expected exactly one)"
             )
         callback = callbacks[0]
-        if getattr(callback, "__func__", None) is not Process._resume:
-            raise CheckpointUnsupported(
-                f"pending event {event!r} at t={time} resumes {callback!r}, "
-                f"not a simulation process"
-            )
-        owner = owners.get(id(callback.__self__))
+        owner = owners.get(
+            (getattr(callback, "__func__", None), id(getattr(callback, "__self__", None)))
+        )
         if owner is None:
             raise CheckpointUnsupported(
-                f"pending event {event!r} at t={time} belongs to an "
-                f"unrecognised process {callback.__self__!r}"
+                f"pending event {event!r} at t={time} calls {callback!r}, which "
+                f"is not a submission, a KIS poll or a running application"
             )
         kind, job_name = owner
         intents.append(

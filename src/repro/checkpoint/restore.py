@@ -11,11 +11,12 @@ remaining drain order is identical to the uninterrupted run's:
   never reorder a tie).
 * The capture recorded one *intent* per pending timeout — who owns it
   (workload submitter, KIS poll loop, or a running application) and the
-  original id.  Restore creates the owner processes in ascending original-id
-  order.  Every process schedules its ``Initialize`` at creation (URGENT, at
-  the restore instant), the initializes drain in creation order, and each
-  first advance allocates its resume-timeout's id — so the rebuilt timeouts
-  carry ids in exactly the captured relative order.
+  original id.  Restore creates the owners in ascending original-id order.
+  Every owner schedules one URGENT event at the restore instant when it
+  starts (the submitter and the KIS poll loop a relay, a process its
+  ``Initialize``), these drain in creation order, and each one's callback
+  allocates the owner's timeout id — so the rebuilt timeouts carry ids in
+  exactly the captured relative order.
 * Running rigid applications are rehydrated as two tiny generators (the
   application finishing at its recorded absolute instant; its runner
   collecting the completion) whose observable effects — events pushed,
@@ -270,8 +271,8 @@ def _restore_native(
     )
     kis.next_poll_time = next_poll
 
-    # Intent pass: create the owner process of every pending timeout in
-    # ascending original-event-id order (see the module docstring).
+    # Intent pass: create the owner of every pending timeout in ascending
+    # original-event-id order (see the module docstring).
     submitter: Optional[WorkloadSubmitter] = None
     for intent in data["intents"]:
         kind = intent["kind"]
@@ -304,7 +305,7 @@ def _restore_native(
             env.process(_resume_runner(runner))
         else:
             raise RestoreError(f"unknown intent kind {kind!r}")
-    if kis._poll_process is None:
+    if not kis._polling:
         raise RestoreError("checkpoint has no pending KIS poll intent")
     if submitter is None:
         if cursor != workload_size:
@@ -313,7 +314,7 @@ def _restore_native(
                 f"submission intent was captured"
             )
         # Fully submitted workload: the submitter exists only as bookkeeping
-        # (its loop terminates at the first advance).
+        # (its chain ends at the first advance).
         submitter = WorkloadSubmitter(
             env,
             scheduler,

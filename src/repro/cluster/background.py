@@ -60,16 +60,19 @@ class BackgroundLoadSpec:
     end_time: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.mean_interarrival <= 0:
-            raise ValueError("mean_interarrival must be positive")
-        if self.mean_duration <= 0:
-            raise ValueError("mean_duration must be positive")
-        if self.min_processors < 1 or self.max_processors < self.min_processors:
+        # Written so that NaN fails every check: ``max(1.0, nan)`` would turn
+        # a NaN mean duration into 1 s jobs, and a NaN window would silently
+        # stop or start the stream.
+        if not self.mean_interarrival > 0:
+            raise ValueError(f"mean_interarrival must be positive, got {self.mean_interarrival!r}")
+        if not self.mean_duration > 0:
+            raise ValueError(f"mean_duration must be positive, got {self.mean_duration!r}")
+        if not (self.min_processors >= 1 and self.max_processors >= self.min_processors):
             raise ValueError("invalid processor range")
-        if self.start_time < 0:
-            raise ValueError("start_time must be non-negative")
-        if self.end_time is not None and self.end_time < self.start_time:
-            raise ValueError("end_time must be >= start_time")
+        if not self.start_time >= 0:
+            raise ValueError(f"start_time must be non-negative, got {self.start_time!r}")
+        if self.end_time is not None and not self.end_time >= self.start_time:
+            raise ValueError(f"end_time must be >= start_time, got {self.end_time!r}")
 
     @property
     def enabled(self) -> bool:

@@ -16,10 +16,12 @@ import gc
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from math import inf
+from numbers import Integral
 from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional
 
 from repro.cluster.background import BackgroundLoadSpec
-from repro.cluster.das3 import das3_multicluster
+from repro.cluster.das3 import DAS3_CLUSTERS, das3_multicluster
 from repro.cluster.multicluster import Multicluster
 from repro.koala.scheduler import KoalaScheduler, SchedulerConfig
 from repro.metrics.collector import ExperimentMetrics, run_digest
@@ -90,8 +92,6 @@ def default_background(
     *fraction* may be a single number applied to every cluster, a per-cluster
     mapping, or ``None`` for the calibrated :data:`DEFAULT_BACKGROUND_PROFILE`.
     """
-    from repro.cluster.das3 import DAS3_CLUSTERS
-
     if fraction is None:
         fractions: Dict[str, float] = dict(DEFAULT_BACKGROUND_PROFILE)
     elif isinstance(fraction, dict):
@@ -183,9 +183,7 @@ class ExperimentConfig:
     trace: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails too: a NaN limit never stops a run.
-        if not float(self.time_limit) > 0:
-            raise ValueError(f"time_limit must be > 0, got {self.time_limit!r}")
+        self._check_ranges()
         # Validate and canonicalise the policy references now, not when the
         # scheduler is eventually built (the dataclass is frozen, hence the
         # object.__setattr__ dance).
@@ -208,6 +206,51 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "fault_model", fault_reference_string(self.fault_model)
             )
+
+    def _check_ranges(self) -> None:
+        """Reject, before any run starts, every numeric value no run can use.
+
+        Every check fails on NaN, since all comparisons with NaN are false.
+        """
+
+        def check(name: str, ok: bool, rule: str) -> None:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+        def integer(value, least: int) -> bool:
+            return isinstance(value, Integral) and value >= least
+
+        for name in ("job_count", "seed", "grow_threshold"):
+            check(name, integer(getattr(self, name), 0), "an integer >= 0")
+        concurrency = self.gram_concurrency
+        check(
+            "gram_concurrency",
+            concurrency is None or integer(concurrency, 1),
+            "None or an integer >= 1",
+        )
+        check("time_limit", float(self.time_limit) > 0, "> 0")
+        check("poll_interval", 0 < self.poll_interval < inf, "finite and > 0")
+        for name in ("gram_submission_latency", "gram_recruit_latency"):
+            check(name, 0 <= getattr(self, name) < inf, "finite and >= 0")
+        interval = self.adaptation_point_interval
+        check("adaptation_point_interval", 0 <= interval < inf, "finite and >= 0")
+        cost = self.reconfiguration_cost
+        check("reconfiguration_cost", cost is None or 0 <= cost < inf, "None or finite and >= 0")
+        check("gram_latency_jitter", 0 <= self.gram_latency_jitter < 1, "in [0, 1)")
+        # The run always builds the DAS-3: another cluster name would be
+        # dropped silently.
+        clusters = {cluster.name for cluster in DAS3_CLUSTERS}
+        fraction = self.background_fraction
+        fractions = fraction if isinstance(fraction, dict) else {}
+        for name, named in (("background", self.background), ("background_fraction", fractions)):
+            unknown = sorted(set(named) - clusters)
+            if unknown:
+                raise ValueError(
+                    f"{name} names clusters {unknown} outside the DAS-3 {sorted(clusters)}"
+                )
+        if fraction is not None:
+            values = fractions.values() if isinstance(fraction, dict) else [fraction]
+            check("background_fraction", all(0 <= v < 1 for v in values), "in [0, 1)")
 
     @property
     def label(self) -> str:

@@ -29,6 +29,9 @@ in-flight stubs for the few simulated seconds claiming takes.
 Graceful events (*drains*) kill nothing: the requested processors leave the
 pool immediately as far as they are idle, and the remainder converts to
 failed capacity as allocations release, modelling scheduled maintenance.
+
+The injector is a callback chain, not a process: an URGENT relay where the
+process's ``Initialize`` stood, then one timeout per fault instant.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.faults.models import (
 from repro.koala.mrunner import MalleableRunner
 from repro.policies.hooks import JobRescued, NodeFailed, NodeRepaired
 from repro.sim.core import Environment
+from repro.sim.events import URGENT, Event
 from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -143,16 +147,28 @@ class FaultInjector:
         for cluster in self.multicluster:
             self._pending_drain[cluster.name] = 0
             cluster.add_release_listener(self._on_release)
-        self._process = env.process(self._inject_loop())
+        #: The fault event whose timeout is pending, if any.
+        self._waiting: Optional[FaultEvent] = None
+        self._start()
 
-    # -- event loop -----------------------------------------------------------
+    # -- event chain ----------------------------------------------------------
 
-    def _inject_loop(self):
+    def _start(self) -> None:
+        """Start the chain: an URGENT relay to its first link."""
+        self.env.relay(self._inject_link, URGENT)
+
+    def _inject_link(self, _event: Event) -> None:
+        """Apply the waiting fault event, then each due one; arm the next's timeout."""
+        if self._waiting is not None:
+            event, self._waiting = self._waiting, None
+            self._apply(event)
         for event in self._events:
             delay = event.time - self.env.now
             if delay > 0:
-                yield self.env.timeout(delay)
-            elif delay < 0:
+                self._waiting = event
+                self.env.timeout(delay).callbacks.append(self._inject_link)
+                return
+            if delay < 0:
                 # Applying a past event at the current time would silently
                 # distort the availability timeline; a model yielding
                 # out-of-order events is a bug that must surface loudly.

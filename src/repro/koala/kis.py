@@ -7,6 +7,9 @@ polled *periodically*, the scheduler's view of idle processors can be
 slightly stale — which is exactly how KOALA notices background load submitted
 behind its back by local users, and why the paper's malleability manager is
 triggered from the polling loop.
+
+The poll loop is a callback chain, not a process: an URGENT relay where the
+process's ``Initialize`` stood, then one timeout per poll.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.cluster.multicluster import Multicluster
 from repro.cluster.network import Link
 from repro.sim.core import Environment
+from repro.sim.events import URGENT, Event
 
 
 class ProcessorInformationProvider:
@@ -103,8 +107,8 @@ class KoalaInformationService:
         first_poll_at: Optional[float] = None,
         defer_polling: bool = False,
     ) -> None:
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
+        if not poll_interval > 0:
+            raise ValueError(f"poll_interval must be positive, got {poll_interval!r}")
         self.env = env
         self.multicluster = multicluster
         self.poll_interval = float(poll_interval)
@@ -123,17 +127,21 @@ class KoalaInformationService:
         #: Immutable snapshot of the subscriber list, rebuilt on ``on_poll``;
         #: the poll loop iterates it without a defensive per-poll copy.
         self._subscriber_snapshot: tuple = ()
-        # ``defer_polling`` lets checkpoint restore start the poll process at
-        # a chosen point of the reconstruction, so the poll timeout's event
-        # id falls into the same relative slot it held in the original run.
-        self._poll_process = None if defer_polling else env.process(self._poll_loop())
+        #: Whether the poll loop has been started.
+        self._polling = False
+        # ``defer_polling`` lets checkpoint restore start the poll loop at a
+        # chosen point of the reconstruction, so the poll timeout's event id
+        # falls into the same relative slot it held in the original run.
+        if not defer_polling:
+            self.start_polling()
 
     # -- polling --------------------------------------------------------------
 
     def start_polling(self) -> None:
         """Start the deferred poll loop (no-op when already running)."""
-        if self._poll_process is None:
-            self._poll_process = self.env.process(self._poll_loop())
+        if not self._polling:
+            self._polling = True
+            self.env.relay(self._first_poll, URGENT)
 
     def on_poll(self, callback: Callable[[KisSnapshot], None]) -> None:
         """Register *callback* to be invoked after every PIP poll."""
@@ -149,16 +157,18 @@ class KoalaInformationService:
             callback(snapshot)
         return snapshot
 
-    def _poll_loop(self):
+    def _first_poll(self, _event: Event) -> None:
         first = self._first_poll_at
-        if first is not None:
-            self.next_poll_time = first
-            yield self.env.timeout_at(first)
-            self.poll_now()
-        while True:
-            self.next_poll_time = self.env.now + self.poll_interval
-            yield self.env.timeout(self.poll_interval)
-            self.poll_now()
+        self._arm_poll(self.env.now + self.poll_interval if first is None else first)
+
+    def _poll_link(self, _event: Event) -> None:
+        """Poll, then arm the next poll: one link of the poll chain."""
+        self.poll_now()
+        self._arm_poll(self.env.now + self.poll_interval)
+
+    def _arm_poll(self, at: float) -> None:
+        self.next_poll_time = at
+        self.env.timeout_at(at).callbacks.append(self._poll_link)
 
     # -- queries ---------------------------------------------------------------
 

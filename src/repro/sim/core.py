@@ -4,7 +4,7 @@ The :class:`Environment` is the only stateful object a simulation needs to
 share: it keeps the current simulated time, a binary heap of scheduled
 ``(time, priority, insertion_id, event)`` entries and the currently active
 process.  Everything else (clusters, schedulers, applications) is expressed
-in terms of processes and events bound to an environment.
+in terms of callback chains and processes on events of one environment.
 
 Fast path
 ---------
@@ -16,8 +16,8 @@ free list (see :meth:`timeout`).  A timeout is recycled — object *and*
 callback list — only when its sole executed callback was a process
 resumption, i.e. it was produced by the ubiquitous ``yield env.timeout(d)``
 pattern, in which no reference to the event survives the resumption.
-Timeouts waited on by conditions, ``run(until=event)`` or interrupted sleeps
-are never recycled.
+Chain-link timeouts, ``run(until=event)`` and interrupted sleeps are never
+recycled.
 """
 
 from __future__ import annotations
@@ -25,16 +25,9 @@ from __future__ import annotations
 from functools import partial
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
-from repro.sim.events import (
-    NORMAL,
-    PENDING,
-    AllOf,
-    AnyOf,
-    Event,
-    Timeout,
-)
+from repro.sim.events import NORMAL, PENDING, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 #: The underlying function of ``Process._resume`` bound methods; used to
@@ -130,15 +123,14 @@ class Environment:
         and no callback list in steady state.  The flip side of recycling:
         do not retain a reference to a plain-sleep timeout past the yield
         that waits on it — once it has resumed its process, the object may be
-        reused for a later timeout.  (Timeouts waited on by conditions,
-        ``run(until=event)`` or interrupted sleeps are never recycled.)
+        reused for a later timeout.  (Chain-link timeouts, ``run(until=event)``
+        and interrupted sleeps are never recycled.)
         """
         pool = self._timeout_pool
         if pool:
             if not delay >= 0:
                 raise ValueError(f"delay must be >= 0, got {delay}")
             event = pool.pop()
-            event._delay = delay
             event._ok = True
             event._value = value
             event.defused = False
@@ -173,14 +165,6 @@ class Environment:
         self._eid = eid = self._eid + 1
         self._push((self._now, priority, eid, event))
         return event
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Return a condition event that succeeds when all *events* have."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Return a condition event that succeeds when any of *events* has."""
-        return AnyOf(self, events)
 
     # -- scheduling and execution -----------------------------------------
 
@@ -230,7 +214,6 @@ class Environment:
             event = Timeout.__new__(Timeout)
             event.env = self
             event.callbacks = []
-        event._delay = at - self._now
         event._ok = True
         event._value = value
         event.defused = False

@@ -3,19 +3,19 @@
 An :class:`Event` is a one-shot synchronisation object.  It starts *pending*,
 may later be *triggered* (scheduled with a value or an exception), and is
 finally *processed* when the :class:`~repro.sim.core.Environment` pops it from
-the event heap and invokes its callbacks.  Processes (see
-:mod:`repro.sim.process`) wait on events by yielding them from their
-generator.
+the event heap and invokes its callbacks.  Callback chains append their next
+link to :attr:`Event.callbacks`; processes (see :mod:`repro.sim.process`)
+wait on events by yielding them from their generator.
 
 The module also defines :class:`Timeout` (an event that triggers after a
-simulated delay), :class:`Condition` with the :class:`AllOf`/:class:`AnyOf`
-helpers (composite events), and :class:`Interrupt` (the exception thrown into
-a process when it is interrupted).
+simulated delay) and :class:`Interrupt` (the exception thrown into a process
+when it is interrupted).  There are no composite events: code that needs to
+wait on two things registers one callback on each.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -140,27 +140,6 @@ class Event:
         env._push((env._now, NORMAL, eid, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state (ok/value) of another *event*.
-
-        Used as a callback to chain events together.
-        """
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        env = self.env
-        env._eid = eid = env._eid + 1
-        env._push((env._now, NORMAL, eid, self))
-
-    # -- composition -----------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = (
             "processed"
@@ -186,7 +165,7 @@ class Timeout(Event):
         Optional value the timeout succeeds with.
     """
 
-    __slots__ = ("_delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if not delay >= 0:
@@ -197,17 +176,11 @@ class Timeout(Event):
         # ``Environment.timeout`` without re-entering this constructor.
         self.env = env
         self.callbacks = []
-        self._delay = delay
         self._ok = True
         self._value = value
         self.defused = False
         env._eid = eid = env._eid + 1
         env._push((env._now + delay, NORMAL, eid, self))
-
-    @property
-    def delay(self) -> float:
-        """The delay this timeout was created with."""
-        return self._delay
 
 
 class Initialize(Event):
@@ -223,215 +196,3 @@ class Initialize(Event):
         self.defused = False
         env._eid = eid = env._eid + 1
         env._push((env._now, URGENT, eid, self))
-
-
-class ConditionValue:
-    """Ordered mapping of events to values produced by a :class:`Condition`.
-
-    Behaves like a read-only dictionary keyed by the original events, in
-    trigger order.  Supports ``in``, ``len``, iteration over events and
-    ``todict()``.
-    """
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(str(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self):
-        return iter(self.events)
-
-    def values(self):
-        return (event._value for event in self.events)
-
-    def items(self):
-        return ((event, event._value) for event in self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        """Return a plain ``dict`` mapping events to their values."""
-        return {event: event._value for event in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Composite event combining several events with an evaluation function.
-
-    The condition triggers as soon as ``evaluate(events, count)`` returns
-    ``True``, where *count* is the number of already-triggered sub-events, or
-    immediately fails if any sub-event fails.  Use the :class:`AllOf` and
-    :class:`AnyOf` convenience subclasses (or the ``&``/``|`` operators on
-    events).
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        self.env = env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = None
-        self.defused = False
-        self._evaluate = evaluate
-        self._events = events = list(events)
-        self._count = 0
-
-        for event in events:
-            if event.env is not env:
-                raise ValueError("all events of a condition must share an environment")
-
-        # Batched evaluation of the initial state: already-processed
-        # sub-events are counted in a single in-order pass (one evaluation
-        # per counted event, exactly as the callback path would have done),
-        # and a single cached bound method is registered on each pending
-        # sub-event.  Once the condition has triggered, the remaining
-        # sub-events need no callbacks at all — a late ``_check`` would be a
-        # no-op anyway.
-        check = self._check
-        count = 0
-        for event in events:
-            if event.callbacks is None:
-                count += 1
-                self._count = count
-                if not event._ok:
-                    event.defused = True
-                    self._ok = False
-                    self._value = event._value
-                    env._eid = eid = env._eid + 1
-                    env._push((env._now, NORMAL, eid, self))
-                    break
-                if evaluate(events, count):
-                    self._ok = True
-                    condition_value = ConditionValue()
-                    self._populate_value(condition_value)
-                    self._value = condition_value
-                    env._eid = eid = env._eid + 1
-                    env._push((env._now, NORMAL, eid, self))
-                    break
-            else:
-                event.callbacks.append(check)
-
-        if not events and self._value is PENDING:
-            # An empty condition is trivially satisfied.
-            self.succeed(ConditionValue())
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.callbacks is None:
-                value.events.append(event)
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            # A failing sub-event fails the whole condition.
-            event.defused = True
-            self._ok = False
-            self._value = event._value
-            env = self.env
-            env._eid = eid = env._eid + 1
-            env._push((env._now, NORMAL, eid, self))
-        elif self._evaluate(self._events, self._count):
-            self._ok = True
-            condition_value = ConditionValue()
-            self._populate_value(condition_value)
-            self._value = condition_value
-            env = self.env
-            env._eid = eid = env._eid + 1
-            env._push((env._now, NORMAL, eid, self))
-
-    @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        """Evaluation function: all sub-events triggered."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: list[Event], count: int) -> bool:
-        """Evaluation function: at least one sub-event triggered."""
-        return count > 0 or len(events) == 0
-
-
-class AllOf(Condition):
-    """Condition satisfied when *all* given events have succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-    def _check(self, event: Event) -> None:
-        # Specialised dispatch: compare the trigger count against the event
-        # count directly instead of going through the ``_evaluate`` callable.
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event.defused = True
-            self._ok = False
-            self._value = event._value
-            env = self.env
-            env._eid = eid = env._eid + 1
-            env._push((env._now, NORMAL, eid, self))
-        elif self._count == len(self._events):
-            self._ok = True
-            condition_value = ConditionValue()
-            self._populate_value(condition_value)
-            self._value = condition_value
-            env = self.env
-            env._eid = eid = env._eid + 1
-            env._push((env._now, NORMAL, eid, self))
-
-
-class AnyOf(Condition):
-    """Condition satisfied when *any* of the given events has succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)
-
-    def _check(self, event: Event) -> None:
-        # Specialised dispatch: the first triggered sub-event decides.
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event.defused = True
-            self._ok = False
-            self._value = event._value
-        else:
-            self._ok = True
-            condition_value = ConditionValue()
-            self._populate_value(condition_value)
-            self._value = condition_value
-        env = self.env
-        env._eid = eid = env._eid + 1
-        env._push((env._now, NORMAL, eid, self))

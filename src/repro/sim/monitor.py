@@ -9,14 +9,12 @@ These are all derived from two kinds of raw observations:
 * *counters* — monotonically increasing event counts with timestamps,
   captured with :class:`Counter`.
 
-:class:`TimeWeightedStat` computes time-weighted means/extremes of a step
-function incrementally, which is what the per-job "average number of
-processors over the execution time" metric needs.
+:meth:`TimeSeries.time_average` gives the per-job "average number of
+processors over the execution time" metric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,14 +89,22 @@ class TimeSeries:
         end = self.times[-1] if end is None else end
         if end <= start:
             return self.value_at(start)
-        stat = TimeWeightedStat(start_time=start, value=self.value_at(start))
+        # Each segment adds ``value * dt`` and ``dt``, in time order, then
+        # one division: metrics digests pin the bits of this arithmetic.
+        value = self.value_at(start)
+        last = start
+        weighted = duration = 0.0
         for t, v in zip(self.times, self.values):
             if t <= start:
                 continue
             if t >= end:
                 break
-            stat.update(t, v)
-        return stat.finalize(end).mean
+            weighted += value * (t - last)
+            duration += t - last
+            last, value = t, v
+        weighted += value * (end - last)
+        duration += end - last
+        return value if duration <= 0 else weighted / duration
 
 
 class Counter:
@@ -148,81 +154,6 @@ class Counter:
                 break
             total += inc
         return total
-
-
-@dataclass
-class TimeWeightedStat:
-    """Incremental time-weighted statistics of a step function.
-
-    Feed it the change points of the function with :meth:`update`, then call
-    :meth:`finalize` with the end of the observation window.  The object is
-    returned by :meth:`finalize` so results can be read fluently::
-
-        mean = TimeWeightedStat(t0, v0).update(t1, v1).finalize(t_end).mean
-    """
-
-    start_time: float
-    value: float
-    _last_time: float = field(init=False)
-    _weighted_sum: float = field(default=0.0, init=False)
-    _duration: float = field(default=0.0, init=False)
-    _minimum: float = field(init=False)
-    _maximum: float = field(init=False)
-    _finalized: bool = field(default=False, init=False)
-
-    def __post_init__(self) -> None:
-        self._last_time = self.start_time
-        self._minimum = self.value
-        self._maximum = self.value
-
-    def update(self, time: float, value: float) -> "TimeWeightedStat":
-        """Record that the function changes to *value* at *time*."""
-        if self._finalized:
-            raise RuntimeError("cannot update a finalized statistic")
-        if time < self._last_time:
-            raise ValueError("updates must be fed in time order")
-        dt = time - self._last_time
-        self._weighted_sum += self.value * dt
-        self._duration += dt
-        self._last_time = time
-        self.value = value
-        self._minimum = min(self._minimum, value)
-        self._maximum = max(self._maximum, value)
-        return self
-
-    def finalize(self, end_time: float) -> "TimeWeightedStat":
-        """Close the observation window at *end_time*."""
-        if self._finalized:
-            return self
-        if end_time < self._last_time:
-            raise ValueError("end_time precedes the last update")
-        dt = end_time - self._last_time
-        self._weighted_sum += self.value * dt
-        self._duration += dt
-        self._finalized = True
-        return self
-
-    @property
-    def mean(self) -> float:
-        """Time-weighted mean of the function over the observed window."""
-        if self._duration <= 0:
-            return self.value
-        return self._weighted_sum / self._duration
-
-    @property
-    def minimum(self) -> float:
-        """Smallest value observed."""
-        return self._minimum
-
-    @property
-    def maximum(self) -> float:
-        """Largest value observed."""
-        return self._maximum
-
-    @property
-    def duration(self) -> float:
-        """Length of the observed window."""
-        return self._duration
 
 
 def merge_step_functions(

@@ -10,8 +10,8 @@ yielding another process.
 A process costs one URGENT :class:`~repro.sim.events.Initialize` event to
 start and, as an event itself, one NORMAL exit event when its generator
 ends.  The exit event is scheduled only when something waits on it: a
-process that returns with no callbacks registered (no process yields it, no
-condition holds it, ``run(until=...)`` was not given it) is marked processed
+process that returns with no callbacks registered (no process yields it,
+``run(until=...)`` was not given it) is marked processed
 on the spot, since its exit event would have fired with nothing to call.  A
 process that *fails* always schedules its exit event, so an unhandled failure
 still raises from :meth:`~repro.sim.core.Environment.run`.

@@ -13,18 +13,21 @@ make the realised submission instants a pure function of the workload —
 which is what lets a run restored from a checkpoint (a submitter created
 mid-workload via ``start_index``) land every remaining submission on
 exactly the instants of the uninterrupted run.
+
+The submitter is a callback chain, not a process: an URGENT relay where the
+process's ``Initialize`` stood, then one timeout per submission instant.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.apps.profiles import ProfileRegistry, default_registry
 from repro.koala.job import Job
 from repro.koala.scheduler import KoalaScheduler
 from repro.sim.core import Environment
-from repro.sim.events import Event
+from repro.sim.events import URGENT, Event
 from repro.workloads.spec import JobSpec, WorkloadSpec
 
 
@@ -76,7 +79,10 @@ class WorkloadSubmitter:
         self._submitted = 0
         #: Succeeds when the last job of the workload has been submitted.
         self.all_submitted: Event = env.event()
-        self._process = env.process(self._submit_loop())
+        self._specs: Optional[Iterator[JobSpec]] = None
+        #: The spec whose submission timeout is pending, if any.
+        self._waiting: Optional[JobSpec] = None
+        self._start()
 
     @property
     def submitted_count(self) -> int:
@@ -88,34 +94,31 @@ class WorkloadSubmitter:
         """Workload index of the next spec to submit (checkpoint capture)."""
         return self.start_index + self._submitted
 
-    def _submit_loop(self):
-        for spec in islice(iter(self.workload), self.start_index, None):
-            if spec.submit_time > self.env.now:
-                yield self.env.timeout_at(spec.submit_time)
-            job = spec.build_job(self.registry)
-            self._submitted += 1
-            if self.retain_jobs:
-                self.jobs.append(job)
-                self.spec_of[job.job_id] = spec
-            self.scheduler.submit(job)
+    def _start(self) -> None:
+        """Start the chain: an URGENT relay to its first link."""
+        self.env.relay(self._submit_link, URGENT)
+
+    def _submit_link(self, _event: Event) -> None:
+        """Submit the waiting spec, then each due one; arm the next's timeout."""
+        if self._specs is None:
+            self._specs = islice(iter(self.workload), self.start_index, None)
+        else:
+            spec, self._waiting = self._waiting, None
+            self._submit(spec)
+        now = self.env.now
+        for spec in self._specs:
+            if spec.submit_time > now:
+                self._waiting = spec
+                self.env.timeout_at(spec.submit_time).callbacks.append(self._submit_link)
+                return
+            self._submit(spec)
         if not self.all_submitted.triggered:
             self.all_submitted.succeed(self.cursor)
 
-    def completion_event(self) -> Event:
-        """An event that succeeds once every submitted job finished or failed.
-
-        Only meaningful after ``all_submitted``; the experiment driver usually
-        runs the simulation with a generous time bound and checks
-        :attr:`~repro.koala.scheduler.KoalaScheduler.all_done` instead, but
-        small tests find this convenient.
-        """
-        done = self.env.event()
-        self.env.process(self._watch_completion(done))
-        return done
-
-    def _watch_completion(self, done: Event):
-        yield self.all_submitted
-        while not self.scheduler.all_done:
-            yield self.env.timeout(30.0)
-        if not done.triggered:
-            done.succeed(len(self.scheduler.finished))
+    def _submit(self, spec: JobSpec) -> None:
+        job = spec.build_job(self.registry)
+        self._submitted += 1
+        if self.retain_jobs:
+            self.jobs.append(job)
+            self.spec_of[job.job_id] = spec
+        self.scheduler.submit(job)

@@ -137,6 +137,25 @@ def test_native_capture_refused_outside_envelope():
         capture_state(run, mode="native")
 
 
+@pytest.mark.parametrize("stray", ["lambda", "other_kis_method"])
+def test_native_capture_refuses_a_pending_timeout_it_cannot_classify(stray):
+    """Only the submitter link, the KIS poll link and a running application's
+    process resumption are captured; any other pending callback is refused,
+    even a method of the KIS itself."""
+    run = SimulationRun.fresh(
+        _config(), workload=_workload(), retain_jobs=False, collect_windowed=True
+    )
+    step_until(run.env, 700.0)
+    advance_to_safe_point(run)
+    run.scheduler.drain_finished()
+    assert capture_state(run, mode="native")["intents"]
+    kis = run.scheduler.kis
+    callback = (lambda _event: None) if stray == "lambda" else kis._first_poll
+    run.env.timeout(10.0).callbacks.append(callback)
+    with pytest.raises(CheckpointUnsupported, match="calls"):
+        capture_state(run, mode="native")
+
+
 def test_replay_mode_roundtrip_on_malleable_config():
     _label, config = get_scenario("figure7").expand(job_count=20)[0]
     run = SimulationRun.fresh(config, retain_jobs=False, collect_windowed=True)

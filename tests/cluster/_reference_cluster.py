@@ -1,4 +1,4 @@
-"""The GRAM endpoint, local resource manager and background load as processes.
+"""Process-based reference copies of the services that became callback chains.
 
 These are the process-based :class:`GramEndpoint`,
 :class:`LocalResourceManager` and :class:`BackgroundLoadGenerator` the
@@ -6,16 +6,26 @@ cluster layer shipped before it became process-free: each GRAM submission a
 process behind a ``Resource`` gatekeeper, the local dispatcher a process
 re-arming a ``wakeup | released`` condition, each local job a process, and
 each cluster's background load a generator process.  The class bodies are
-kept unchanged; only the imports differ.  ``test_reference_equivalence``
-runs small systems dense in same-instant ties with these classes patched
-into :mod:`repro.cluster.multicluster` and as shipped, and requires
-identical outcomes, so any later change to the event structure of any of
-them is checked against this drain order.
+kept unchanged, except that the kernel no longer has a counted resource or
+composite events: :class:`Resource` and :func:`any_of` below are copies of
+the parts of them these classes use, and ``wakeup | released`` is spelled
+``any_of(env, [wakeup, released])``.
+
+:class:`KoalaInformationService`, :class:`WorkloadSubmitter` and
+:class:`FaultInjector` subclass the shipped classes and start the poll loop,
+the submission loop and the injection loop as the generator processes they
+were before they became callback chains.
+
+``test_reference_equivalence`` runs small systems dense in same-instant ties
+with these classes patched in and as shipped, and requires identical
+outcomes, so any later change to the event structure of any of them is
+checked against this drain order.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Deque, Dict, List, Optional
 
 import numpy as np
@@ -25,9 +35,89 @@ from repro.cluster.background import BackgroundLoadSpec
 from repro.cluster.cluster import Cluster
 from repro.cluster.gram import GramJob, GramSubmissionError
 from repro.cluster.local_rm import LocalJob
+from repro.faults import injector as injector_module
+from repro.koala import kis as kis_module
 from repro.sim.core import Environment
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import PENDING, Event, Interrupt
 from repro.sim.process import Process
+from repro.workloads import submission as submission_module
+
+
+class _Request(Event):
+    """A request for one slot of a :class:`Resource`; succeeds on grant."""
+
+    def __init__(self, resource: "Resource") -> None:
+        super().__init__(resource.env)
+        self.resource = resource
+
+    def __enter__(self) -> "_Request":
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        if self.triggered:
+            self.resource.release(self)
+        elif self in self.resource.queue:
+            self.resource.queue.remove(self)
+
+
+class Resource:
+    """The kernel's former counted resource, as the GRAM gatekeeper used it.
+
+    Requests are granted in request order while a slot is free; a grant is
+    the request succeeding (one NORMAL event).  A release frees its slot at
+    once and succeeds; the waiting requests are granted when the release
+    event fires, one NORMAL hop later.
+    """
+
+    def __init__(self, env: Environment, capacity: int) -> None:
+        self.env = env
+        self.capacity = capacity
+        self.users: List[_Request] = []
+        self.queue: List[_Request] = []
+
+    def request(self) -> _Request:
+        request = _Request(self)
+        self.queue.append(request)
+        self._grant()
+        return request
+
+    def release(self, request: _Request) -> Event:
+        if request in self.users:
+            self.users.remove(request)
+        release = Event(self.env)
+        release.callbacks.append(self._grant)
+        return release.succeed()
+
+    def _grant(self, _event: Optional[Event] = None) -> None:
+        while self.queue and len(self.users) < self.capacity:
+            request = self.queue.pop(0)
+            self.users.append(request)
+            request.succeed()
+
+
+def any_of(env: Environment, events: List[Event]) -> Event:
+    """The kernel's former ``a | b`` condition, as the dispatcher used it.
+
+    Succeeds (one NORMAL event) when the first of *events* is processed, or
+    at once if one already was; fails the same way if that event failed.
+    """
+    condition = Event(env)
+
+    def check(event: Event) -> None:
+        if condition._value is not PENDING:
+            return
+        if event._ok:
+            condition.succeed()
+        else:
+            event.defused = True
+            condition.fail(event._value)
+
+    for event in events:
+        if event.callbacks is None:
+            check(event)
+            break
+        event.callbacks.append(check)
+    return condition
 
 
 class GramEndpoint:
@@ -82,8 +172,6 @@ class GramEndpoint:
         self._rng = rng
         self.max_concurrent_submissions = max_concurrent_submissions
         if max_concurrent_submissions is not None:
-            from repro.sim.resources import Resource
-
             self._gatekeeper: Optional[Resource] = Resource(env, max_concurrent_submissions)
         else:
             self._gatekeeper = None
@@ -261,7 +349,7 @@ class LocalResourceManager:
             # released on the cluster.
             self._wakeup = Event(self.env)
             released = self.cluster.when_released()
-            yield self._wakeup | released
+            yield any_of(self.env, [self._wakeup, released])
             self._wakeup = None
 
     def _start_eligible_jobs(self) -> None:
@@ -351,3 +439,63 @@ class BackgroundLoadGenerator:
     def submitted_count(self) -> int:
         """Number of background jobs submitted so far."""
         return len(self.jobs)
+
+
+class KoalaInformationService(kis_module.KoalaInformationService):
+    """The KIS with its poll loop as a generator process."""
+
+    def start_polling(self) -> None:
+        if not self._polling:
+            self._polling = True
+            self.env.process(self._poll_loop())
+
+    def _poll_loop(self):
+        first = self._first_poll_at
+        if first is not None:
+            self.next_poll_time = first
+            yield self.env.timeout_at(first)
+            self.poll_now()
+        while True:
+            self.next_poll_time = self.env.now + self.poll_interval
+            yield self.env.timeout(self.poll_interval)
+            self.poll_now()
+
+
+class WorkloadSubmitter(submission_module.WorkloadSubmitter):
+    """The workload submitter with its submission loop as a generator process."""
+
+    def _start(self) -> None:
+        self.env.process(self._submit_loop())
+
+    def _submit_loop(self):
+        for spec in islice(iter(self.workload), self.start_index, None):
+            if spec.submit_time > self.env.now:
+                yield self.env.timeout_at(spec.submit_time)
+            job = spec.build_job(self.registry)
+            self._submitted += 1
+            if self.retain_jobs:
+                self.jobs.append(job)
+                self.spec_of[job.job_id] = spec
+            self.scheduler.submit(job)
+        if not self.all_submitted.triggered:
+            self.all_submitted.succeed(self.cursor)
+
+
+class FaultInjector(injector_module.FaultInjector):
+    """The fault injector with its injection loop as a generator process."""
+
+    def _start(self) -> None:
+        self.env.process(self._inject_loop())
+
+    def _inject_loop(self):
+        for event in self._events:
+            delay = event.time - self.env.now
+            if delay > 0:
+                yield self.env.timeout(delay)
+            elif delay < 0:
+                raise ValueError(
+                    f"fault model {self.ref.canonical()!r} produced an "
+                    f"out-of-order event at t={event.time:g} "
+                    f"(simulation already at t={self.env.now:g})"
+                )
+            self._apply(event)

@@ -1,18 +1,21 @@
-"""Property: the shipped cluster services keep the reference drain order.
+"""Property: the shipped callback chains keep the reference drain order.
 
 Small multicluster systems, dense in same-instant ties (zero GRAM jitter,
 integer latencies, submit times and durations, background load whose gaps
-and durations are whole seconds, adaptation points at every instant), run
-twice: once with the process-based reference GRAM endpoint, local resource
-manager and background-load generator of :mod:`_reference_cluster` patched
-into :mod:`repro.cluster.multicluster`, and once as shipped.  Both runs must
-produce the same metrics digest, the same submit, start and finish times for
-every KOALA job, every local job and every background job, and the same
-outcome for every direct allocation competing with them.
+and durations are whole seconds, adaptation points at every instant, KIS
+polls on an integer grid, fault windows at integer times), run twice: once
+with the process-based reference GRAM endpoint, local resource manager,
+background-load generator, KIS, workload submitter and fault injector of
+:mod:`_reference_cluster` patched in, and once as shipped.  Both runs must
+produce the same metrics digest, the same poll instants, the same submit,
+start and finish times for every KOALA job, every local job and every
+background job, the same fault counters, and the same outcome for every
+direct allocation competing with them.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,12 +23,27 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.apps.profiles import ApplicationProfile
 from repro.apps.speedup import TabulatedSpeedup
 from repro.cluster import BackgroundLoadSpec, LocalJob, Multicluster
+from repro.apps.profiles import ProfileRegistry
 from repro.cluster import multicluster as multicluster_module
-from repro.koala import Job, KoalaScheduler, SchedulerConfig
+from repro.faults import injector as injector_module
+from repro.koala import Job, JobKind, KoalaScheduler, SchedulerConfig
+from repro.koala import scheduler as scheduler_module
 from repro.metrics.collector import ExperimentMetrics, run_digest
 from repro.sim import Environment, RandomStreams
+from repro.workloads import JobSpec, WorkloadSpec
+from repro.workloads import submission as submission_module
 
-from _reference_cluster import BackgroundLoadGenerator, GramEndpoint, LocalResourceManager
+import _reference_cluster as reference
+
+#: (module, name) of every class the reference replaces.
+PATCHES = [
+    (multicluster_module, "GramEndpoint"),
+    (multicluster_module, "LocalResourceManager"),
+    (multicluster_module, "BackgroundLoadGenerator"),
+    (scheduler_module, "KoalaInformationService"),
+    (submission_module, "WorkloadSubmitter"),
+    (injector_module, "FaultInjector"),
+]
 
 #: Integer execution times at every size a job can run on.
 PROFILE = ApplicationProfile(
@@ -70,8 +88,34 @@ koala_jobs = st.lists(
         st.booleans(),  # malleable
         st.integers(1, 3),  # (initial) processors
     ),
-    min_size=1,
     max_size=8,
+)
+#: KOALA jobs the workload submitter hands in: integer submit times, so
+#: submissions tie with polls, releases, faults and each other.
+submitted_jobs = st.lists(
+    st.tuples(
+        st.integers(0, 8),  # submit time
+        st.booleans(),  # malleable
+        st.integers(1, 3),  # (initial) processors
+    ),
+    max_size=6,
+)
+#: An optional fault window at integer times and sizes (0 nodes: the whole
+#: cluster), opening within the submitter's times so the two tie.  Windows
+#: open at t >= 1: at t = 0 the injector's first link can strike a local job
+#: the reference dispatcher has started but whose process has not run yet,
+#: and the interrupt then kills that process (the shipped local resource
+#: manager kills a job whose launch is still pending).
+faults = st.one_of(
+    st.none(),
+    st.builds(
+        "fault:{}?at={}&cluster={}&duration={}&nodes={}".format,
+        st.sampled_from(["outage", "drain"]),
+        st.integers(1, 8),
+        st.sampled_from(["alpha", "beta", "all"]),
+        st.integers(1, 8),
+        st.integers(0, 3),
+    ),
 )
 #: Background load per cluster: arrivals and ends tie with the other events
 #: because gaps and durations are whole seconds (see ``WholeSecondStreams``).
@@ -97,13 +141,17 @@ systems = st.fixed_dictionaries(
         "backfilling": st.booleans(),
         "policy": st.sampled_from(["FPSMA", "EGS"]),
         "approach": st.sampled_from(["PRA", "PWA"]),
-        "poll": st.sampled_from([2.0, 5.0]),
+        # A 1 s poll ties each poll with the GRAM timeouts the previous
+        # poll's placements pushed.
+        "poll": st.sampled_from([1.0, 2.0, 5.0]),
         "local": local_jobs,
         "blockers": blockers,
         "koala": koala_jobs,
+        "submitted": submitted_jobs,
+        "fault": faults,
         "background": st.tuples(backgrounds, backgrounds),
     }
-)
+).filter(lambda system: system["koala"] or system["submitted"])
 
 
 class WholeSeconds:
@@ -127,10 +175,16 @@ class WholeSecondStreams(RandomStreams):
         return WholeSeconds(stream) if name.startswith("background:") else stream
 
 
-def simulate(system):
-    """Run *system*; returns its digest, every job's (submit, start, finish),
-    every background job's draws and times, and every blocker's allocation
-    outcome."""
+def run_system(system):
+    """Build and run *system*; returns its outcome and the scheduler, the
+    workload submitter and the fault injector (``None`` without a fault).
+
+    The outcome is the digest, every poll instant, every job's (submit,
+    start, finish), every background job's draws and times, the fault
+    counters and every blocker's allocation outcome.  The submitter and the
+    injector are looked up in their modules when built, so a patch of either
+    module reaches them.
+    """
     env = Environment()
     streams = WholeSecondStreams(seed=3)
     multicluster = Multicluster(
@@ -156,6 +210,11 @@ def simulate(system):
         ),
         streams=streams,
     )
+    polls = []
+    scheduler.kis.on_poll(lambda snapshot: polls.append(snapshot.time))
+    injector = None
+    if system["fault"] is not None:
+        injector = injector_module.FaultInjector(env, scheduler, system["fault"], streams)
 
     def after(count, action):
         if count:
@@ -198,6 +257,24 @@ def simulate(system):
             job = Job.rigid(PROFILE.as_rigid(), processors, name=f"koala-{index}")
         jobs.append(job)
         at(submit, delay, lambda job=job: scheduler.submit(job))
+    registry = ProfileRegistry()
+    registry.register(PROFILE)
+    workload = WorkloadSpec(
+        name="submitted",
+        jobs=[
+            JobSpec(
+                submit_time=float(submit),
+                profile_name=PROFILE.name,
+                kind=JobKind.MALLEABLE if malleable else JobKind.RIGID,
+                initial_processors=processors,
+                minimum_processors=1,
+                maximum_processors=6,
+                name=f"submitted-{index}",
+            )
+            for index, (submit, malleable, processors) in enumerate(system["submitted"])
+        ],
+    )
+    submitter = submission_module.WorkloadSubmitter(env, scheduler, workload, registry=registry)
 
     env.run(until=HORIZON)
     metrics = ExperimentMetrics.from_run(scheduler, multicluster, label="tied")
@@ -205,23 +282,36 @@ def simulate(system):
         job for name in names if multicluster.background(name) is not None
         for job in multicluster.background(name).jobs
     ]
-    return (
+    outcome = (
         run_digest(metrics.to_dict()),
-        [(job.submit_time, job.start_time, job.finish_time) for job in jobs],
+        polls,
+        [(job.submit_time, job.start_time, job.finish_time) for job in jobs + submitter.jobs],
         [(job.submit_time, job.start_time, job.finish_time) for job in locals_],
         [
             (job.name, job.processors, job.duration, job.submit_time, job.start_time,
              job.finish_time)
             for job in background_jobs
         ],
+        None if injector is None else injector.resilience_summary(),
         blocked,
     )
+    return outcome, scheduler, submitter, injector
+
+
+def simulate(system):
+    return run_system(system)[0]
+
+
+def reference_patches():
+    """A context manager patching every reference class into its module."""
+    stack = ExitStack()
+    for module, name in PATCHES:
+        stack.enter_context(mock.patch.object(module, name, getattr(reference, name)))
+    return stack
 
 
 def simulate_reference(system):
-    with mock.patch.object(multicluster_module, "GramEndpoint", GramEndpoint), mock.patch.object(
-        multicluster_module, "LocalResourceManager", LocalResourceManager
-    ), mock.patch.object(multicluster_module, "BackgroundLoadGenerator", BackgroundLoadGenerator):
+    with reference_patches():
         return simulate(system)
 
 
@@ -238,8 +328,8 @@ def test_shipped_classes_keep_the_reference_drain_order(system):
 
 def test_the_reference_is_patched_in_and_the_property_sees_ties():
     """Guard the guard: the patch reaches the built system, and a fixed
-    system of the property's shape does tie releases, submissions and
-    background arrivals."""
+    system of the property's shape does tie releases, submissions, polls and
+    background arrivals, and does apply its fault."""
     system = {
         "sizes": (4, 4),
         "concurrency": 1,
@@ -252,6 +342,8 @@ def test_the_reference_is_patched_in_and_the_property_sees_ties():
         "local": [(0, 0, 0, 2, 5), (1, 0, 0, 3, 5), (0, 5, 1, 4, 3)],
         "blockers": [(1, 2, 1, 1, 3)],
         "koala": [(0, 0, True, 2), (1, 0, False, 2), (5, 2, True, 1)],
+        "submitted": [(5, True, 2), (10, False, 1)],
+        "fault": "fault:drain?at=10&cluster=alpha&duration=5&nodes=2",
         "background": (
             None,
             BackgroundLoadSpec(
@@ -260,16 +352,17 @@ def test_the_reference_is_patched_in_and_the_property_sees_ties():
             ),
         ),
     }
-    with mock.patch.object(multicluster_module, "GramEndpoint", GramEndpoint), mock.patch.object(
-        multicluster_module, "BackgroundLoadGenerator", BackgroundLoadGenerator
-    ):
-        env = Environment()
-        built = Multicluster(env)
-        built.add_cluster("alpha", 4, background=BackgroundLoadSpec(mean_interarrival=2.0))
-        assert type(built.gram("alpha")) is GramEndpoint
-        assert type(built.background("alpha")) is BackgroundLoadGenerator
-    digest, koala_times, local_times, background, blocked = simulate(system)
-    assert (digest, koala_times, local_times, background, blocked) == simulate_reference(system)
+    with reference_patches():
+        outcome, scheduler, submitter, injector = run_system(system)
+    built = scheduler.multicluster
+    assert type(built.gram("alpha")) is reference.GramEndpoint
+    assert type(built.local_rm("alpha")) is reference.LocalResourceManager
+    assert type(built.background("beta")) is reference.BackgroundLoadGenerator
+    assert type(scheduler.kis) is reference.KoalaInformationService
+    assert type(submitter) is reference.WorkloadSubmitter
+    assert type(injector) is reference.FaultInjector
+    assert simulate(system) == outcome
+    digest, polls, koala_times, local_times, background, resilience, blocked = outcome
     assert blocked == [(0, 2.0, True)]
     assert all(finish is not None for _, _, finish in koala_times + local_times)
     # Two local jobs end, and a third is submitted, in the same instant.
@@ -277,3 +370,9 @@ def test_the_reference_is_patched_in_and_the_property_sees_ties():
     # Two background jobs arrive in one instant (a zero gap) with the
     # blocker's allocation, and a third in the instant above.
     assert [submit for _, _, _, submit, _, _ in background] == [2.0, 2.0, 5.0, 8.0]
+    # Both submitter jobs are handed in at an instant of the poll grid.
+    submitted = [submit for submit, _, _ in koala_times[3:]]
+    assert submitted == [5.0, 10.0]
+    assert set(submitted) <= set(polls)
+    assert resilience["node_failures"] == 1
+    assert resilience["node_repairs"] == 1

@@ -48,6 +48,44 @@ def test_config_rejects_a_time_limit_that_is_not_positive(limit):
         ExperimentConfig.from_fields(json.loads(f'{{"time_limit": {limit}}}'))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # Finished ``all_done`` with a wrong result at 5 jobs.
+        ("gram_submission_latency", NAN),
+        ("gram_recruit_latency", NAN),
+        ("background", {"vu": {"mean_interarrival": 60.0, "mean_duration": NAN}}),
+        ("background", {"vu": {"mean_interarrival": 60.0, "end_time": NAN}}),
+        ("background", {"vu": {"mean_interarrival": 60.0, "start_time": NAN}}),
+        ("background", {"nosuch": {"mean_interarrival": 60.0}}),
+        ("background_fraction", {"nosuch": 0.5}),
+        # Ran to the time limit and finished nothing.
+        ("gram_concurrency", NAN),
+        # Died mid-run instead of at submit time.
+        ("poll_interval", NAN),
+        ("adaptation_point_interval", NAN),
+        ("background", {"vu": {"mean_interarrival": NAN}}),
+        ("reconfiguration_cost", -5.0),
+        ("gram_submission_latency", -1.0),
+        ("gram_recruit_latency", -1.0),
+        ("poll_interval", -1.0),
+        ("adaptation_point_interval", -1.0),
+        ("job_count", NAN),
+        ("grow_threshold", NAN),
+        ("gram_latency_jitter", NAN),
+    ],
+)
+def test_config_rejects_values_no_run_can_use(field, value):
+    # Through the daemon's submit parser, so a bad value is turned away
+    # before a worker ever runs it.
+    fields = {"job_count": 5, field: value}
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_fields(fields)
+
+
 def test_build_workload_accepts_all_paper_names():
     streams = RandomStreams(1)
     for name, interarrival in (("Wm", 120.0), ("Wmr", 120.0), ("W'm", 30.0), ("W'mr", 30.0)):

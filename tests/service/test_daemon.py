@@ -523,6 +523,12 @@ def test_malformed_requests_get_errors_and_the_daemon_survives(daemon, tiny_reco
             client.submit(dict(tiny_config().to_dict(), time_limit=float("nan")))
         assert excinfo.value.code == "bad_config"
         assert "time_limit must be > 0" in str(excinfo.value)
+        # A NaN poll interval used to be accepted, then kill its worker
+        # mid-run; every numeric field is range-checked at submit time now.
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(dict(tiny_config().to_dict(), poll_interval=float("nan")))
+        assert excinfo.value.code == "bad_config"
+        assert "poll_interval must be finite and > 0" in str(excinfo.value)
         # Non-mapping config.
         with pytest.raises(ServiceError) as excinfo:
             client.request("submit", config=[1, 2])

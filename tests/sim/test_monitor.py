@@ -1,4 +1,4 @@
-"""Unit tests of the measurement primitives (TimeSeries, Counter, statistics)."""
+"""Unit tests of the measurement primitives (TimeSeries, Counter)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Counter, TimeSeries, TimeWeightedStat
+from repro.sim import Counter, TimeSeries
 from repro.sim.monitor import merge_step_functions
 
 
@@ -89,38 +89,6 @@ def test_counter_rejects_negative_and_out_of_order():
         counter.increment(4.0, amount=-1)
 
 
-# ---------------------------------------------------------------------------
-# TimeWeightedStat
-# ---------------------------------------------------------------------------
-
-
-def test_time_weighted_stat_mean_min_max():
-    stat = TimeWeightedStat(start_time=0.0, value=2.0)
-    stat.update(10.0, 6.0)
-    stat.update(15.0, 1.0)
-    stat.finalize(20.0)
-    # 2 for 10s, 6 for 5s, 1 for 5s -> (20 + 30 + 5) / 20
-    assert stat.mean == pytest.approx(2.75)
-    assert stat.minimum == 1.0
-    assert stat.maximum == 6.0
-    assert stat.duration == 20.0
-
-
-def test_time_weighted_stat_rejects_time_travel():
-    stat = TimeWeightedStat(start_time=5.0, value=1.0)
-    with pytest.raises(ValueError):
-        stat.update(4.0, 2.0)
-    stat.update(6.0, 2.0)
-    with pytest.raises(ValueError):
-        stat.finalize(5.5)
-
-
-def test_time_weighted_stat_cannot_update_after_finalize():
-    stat = TimeWeightedStat(start_time=0.0, value=1.0).finalize(10.0)
-    with pytest.raises(RuntimeError):
-        stat.update(11.0, 2.0)
-
-
 def test_merge_step_functions_sums_values():
     a = TimeSeries()
     a.record(0.0, 1)
@@ -140,6 +108,70 @@ def test_merge_step_functions_empty():
 # ---------------------------------------------------------------------------
 # Property-based tests
 # ---------------------------------------------------------------------------
+
+
+class _IncrementalMean:
+    """The arithmetic ``time_average`` used to delegate to a statistics class.
+
+    Each change point adds ``value * dt`` to a weighted sum and ``dt`` to a
+    duration; closing the window adds the last segment; the mean is one
+    division.  Metrics digests pin the bits of every per-job average, so
+    ``time_average`` must reproduce this exactly, not approximately.
+    """
+
+    def __init__(self, start_time, value):
+        self.value = value
+        self._last_time = start_time
+        self._weighted_sum = 0.0
+        self._duration = 0.0
+
+    def update(self, time, value):
+        dt = time - self._last_time
+        self._weighted_sum += self.value * dt
+        self._duration += dt
+        self._last_time = time
+        self.value = value
+
+    def mean(self, end_time):
+        self.update(end_time, self.value)
+        if self._duration <= 0:
+            return self.value
+        return self._weighted_sum / self._duration
+
+
+def _reference_time_average(series, start, end):
+    if not series.times:
+        return 0.0
+    start = series.times[0] if start is None else start
+    end = series.times[-1] if end is None else end
+    if end <= start:
+        return series.value_at(start)
+    stat = _IncrementalMean(start, series.value_at(start))
+    for t, v in zip(series.times, series.values):
+        if t <= start:
+            continue
+        if t >= end:
+            break
+        stat.update(t, v)
+    return stat.mean(end)
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+instants = st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    steps=st.lists(st.tuples(instants, finite), max_size=25),
+    start=st.one_of(st.none(), instants),
+    end=st.one_of(st.none(), instants),
+)
+@settings(max_examples=300, deadline=None)
+def test_time_average_is_bit_exact_against_the_incremental_mean(steps, start, end):
+    """Random step functions and windows give the very same float."""
+    series = TimeSeries()
+    for time, value in sorted(steps, key=lambda step: step[0]):
+        series.record(time, value)
+    assert series.time_average(start, end) == _reference_time_average(series, start, end)
 
 
 @given(

@@ -4,7 +4,7 @@ A process is an event that succeeds when its generator returns.  When nothing
 is registered on it at that moment, the exit event would fire with no
 callbacks, so the kernel marks the process processed on the spot and schedules
 nothing.  Anything that waits on a process (another process yielding it,
-``run(until=...)``, a condition) registers before the process ends and keeps
+``run(until=...)``) registers before the process ends and keeps
 the exit event at its usual NORMAL position, and a failing process always
 schedules it so the failure can surface.
 """
@@ -85,12 +85,3 @@ def test_unawaited_process_failure_still_raises_from_run():
     env.process(broken(env))
     with pytest.raises(KeyError, match="lost"):
         env.run()
-
-
-def test_condition_on_a_process_still_sees_its_exit():
-    env = Environment()
-    process = env.process(sleeper(env, 3, "p"))
-    condition = env.any_of([process, env.timeout(10)])
-    env.run(until=condition)
-    assert env.now == 3
-    assert condition.value[process] == "p"

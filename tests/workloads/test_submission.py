@@ -56,22 +56,6 @@ def test_spec_of_links_jobs_back_to_their_specs(env):
         assert (job.kind is JobKind.RIGID) == (spec.kind is JobKind.RIGID)
 
 
-def test_completion_event_fires_once_everything_finished(env):
-    system, scheduler = build_scheduler(env)
-    submitter = WorkloadSubmitter(env, scheduler, small_workload())
-    done = submitter.completion_event()
-
-    def waiter(env, done):
-        count = yield done
-        return (env.now, count)
-
-    waiter_proc = env.process(waiter(env, done))
-    env.run(until=5000)
-    assert scheduler.all_done
-    assert waiter_proc.value[1] == 3
-    assert waiter_proc.value[0] >= 60.0
-
-
 def test_empty_workload_submits_nothing(env):
     system, scheduler = build_scheduler(env)
     submitter = WorkloadSubmitter(env, scheduler, WorkloadSpec(name="empty"))

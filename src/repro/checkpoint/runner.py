@@ -24,7 +24,7 @@ from repro.checkpoint.capture import (
     step_until,
 )
 from repro.checkpoint.envelope import save_checkpoint
-from repro.experiments.setup import ExperimentConfig, SimulationRun, gc_paused
+from repro.experiments.setup import ExperimentConfig, SimulationRun, frees_its_run
 from repro.metrics.windowed import WindowedMetrics
 from repro.workloads.spec import WorkloadSpec
 
@@ -33,6 +33,7 @@ from repro.workloads.spec import WorkloadSpec
 from repro.experiments.setup import build_system  # noqa: F401
 
 
+@frees_its_run
 def run_checkpointed(
     config: ExperimentConfig,
     *,
@@ -57,9 +58,16 @@ def run_checkpointed(
 
     Pass a restored *run* (from :func:`repro.checkpoint.restore.restore_run`)
     to resume a previous invocation; its configuration must match *config*.
+    The whole call is one GC pause (:func:`~repro.experiments.setup.frees_its_run`),
+    and a run built here is freed when it ends.  A caller that passes *run*
+    still holds it then, so a caller that restores many runs restores each
+    inside a pause of its own, as the daemon's ``checkpointed`` worker does.
 
-    Returns a summary dict: the merged window, completion flags, checkpoint
-    paths and the last envelope.
+    Returns a summary dict with the keys ``config``, ``window`` (the merged
+    :class:`~repro.metrics.windowed.WindowedMetrics`), ``all_done``,
+    ``simulated_time``, ``events_processed``, ``checkpoint_paths``,
+    ``checkpoints`` (the number captured) and ``last_checkpoint`` (the last
+    envelope, or ``None``).  It holds no reference to the run.
     """
     if not checkpoint_every > 0:
         raise ValueError(f"checkpoint_every must be > 0, got {checkpoint_every!r}")
@@ -80,30 +88,29 @@ def run_checkpointed(
     file_index = 0
     captured = 0
 
-    with gc_paused():
-        while not run.done:
-            if env.now >= limit or env.peek() > limit:
-                break
-            step_until(env, min(boundary, limit))
-            run.scheduler.drain_finished()
-            if run.done or env.now >= limit:
-                break
-            advance_to_safe_point(run, limit=limit)
-            run.scheduler.drain_finished()
-            # The next boundary is one interval past the actual capture
-            # instant (the safe point may lie well past the nominal one).
-            boundary = env.now + interval
-            if run.done:
-                break
-            last_envelope = capture_state(run, mode=mode)
-            captured += 1
-            if path is not None:
-                suffix = path.suffix or ".json"
-                target = path.with_name(f"{path.stem}-{file_index:04d}{suffix}")
-                save_checkpoint(last_envelope, target)
-                paths.append(str(target))
-                file_index += 1
+    while not run.done:
+        if env.now >= limit or env.peek() > limit:
+            break
+        step_until(env, min(boundary, limit))
         run.scheduler.drain_finished()
+        if run.done or env.now >= limit:
+            break
+        advance_to_safe_point(run, limit=limit)
+        run.scheduler.drain_finished()
+        # The next boundary is one interval past the actual capture
+        # instant (the safe point may lie well past the nominal one).
+        boundary = env.now + interval
+        if run.done:
+            break
+        last_envelope = capture_state(run, mode=mode)
+        captured += 1
+        if path is not None:
+            suffix = path.suffix or ".json"
+            target = path.with_name(f"{path.stem}-{file_index:04d}{suffix}")
+            save_checkpoint(last_envelope, target)
+            paths.append(str(target))
+            file_index += 1
+    run.scheduler.drain_finished()
 
     window = run.collector.window if run.collector is not None else WindowedMetrics()
     return {
@@ -115,5 +122,4 @@ def run_checkpointed(
         "checkpoint_paths": paths,
         "checkpoints": captured,
         "last_checkpoint": last_envelope,
-        "run": run,
     }

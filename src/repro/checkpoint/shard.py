@@ -22,6 +22,11 @@ deterministically:
   checked in the test suite; ``tests/golden`` pins the digest and the event
   count of a 500k-job replay.
 
+A window's payload carries its slice of the workload's own
+:class:`~repro.workloads.spec.JobSpec` objects, and each window's run is
+freed when its replay returns (:func:`~repro.experiments.setup.frees_its_run`),
+so a worker, or an in-process replay, holds one window's run at a time.
+
 Sharding shares the native-capture support envelope
 (:func:`~repro.checkpoint.capture.native_unsupported_reason`): the
 window-equivalence argument needs runs that draw nothing from runtime random
@@ -38,11 +43,15 @@ from typing import Any, Dict, List, Optional
 
 from repro.checkpoint.capture import native_unsupported_reason
 from repro.checkpoint.envelope import CheckpointUnsupported
-from repro.experiments.setup import ExperimentConfig, SimulationRun, build_workload
-from repro.koala.job import JobKind
+from repro.experiments.setup import (
+    ExperimentConfig,
+    SimulationRun,
+    build_workload,
+    frees_its_run,
+)
 from repro.metrics.windowed import WindowedMetrics
 from repro.sim.rng import RandomStreams
-from repro.workloads.spec import JobSpec, WorkloadSpec
+from repro.workloads.spec import WorkloadSpec
 
 #: Default minimum submit-time gap (seconds) at which the workload is cut.
 #: Must exceed the longest job runtime plus scheduling latency so windows
@@ -118,43 +127,36 @@ def plan_windows(workload: WorkloadSpec, *, min_gap: float = DEFAULT_MIN_GAP) ->
     return windows
 
 
-def _spec_dict(spec: JobSpec) -> Dict[str, Any]:
-    """Exact (hex-float) wire form of one job spec for worker payloads."""
-    return {
-        "submit": float(spec.submit_time).hex(),
-        "profile": spec.profile_name,
-        "kind": spec.kind.value,
-        "initial": int(spec.initial_processors),
-        "min": int(spec.minimum_processors),
-        "max": None if spec.maximum_processors is None else int(spec.maximum_processors),
-        "name": spec.name,
-    }
-
-
-def _spec_from_dict(data: Dict[str, Any]) -> JobSpec:
-    return JobSpec(
-        submit_time=float.fromhex(data["submit"]),
-        profile_name=data["profile"],
-        kind=JobKind(data["kind"]),
-        initial_processors=int(data["initial"]),
-        minimum_processors=int(data["min"]),
-        maximum_processors=None if data["max"] is None else int(data["max"]),
-        name=data["name"],
-    )
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _window_payload(
-    config: ExperimentConfig, workload: WorkloadSpec, window: ShardWindow
+    config: ExperimentConfig,
+    workload: WorkloadSpec,
+    start: int,
+    end: int,
+    index: Optional[int] = None,
 ) -> Dict[str, Any]:
+    """What one window's replay needs: the config and its slice of the specs.
+
+    ``JobSpec`` is frozen and pickling round-trips its floats exactly, so a
+    worker replays the serial run's specs themselves.
+    """
     return {
         "config": config.to_dict(),
-        "name": f"{workload.name}[{window.start}:{window.end}]",
-        "start": window.start,
-        "end": window.end,
-        "specs": [_spec_dict(spec) for spec in workload.jobs[window.start : window.end]],
+        "name": f"{workload.name}[{start}:{end}]",
+        "index": index,
+        "start": start,
+        "end": end,
+        "specs": workload.jobs[start:end],
     }
 
 
+@frees_its_run
 def _replay_window(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Replay one window to completion (runs in a worker process).
 
@@ -167,7 +169,7 @@ def _replay_window(payload: Dict[str, Any]) -> Dict[str, Any]:
     bit-exact, not approximate.)
     """
     config = ExperimentConfig.from_dict(payload["config"])
-    specs = [_spec_from_dict(data) for data in payload["specs"]]
+    specs = payload["specs"]
     workload = WorkloadSpec(name=payload["name"], jobs=specs)
 
     scheduler_extra: Optional[Dict[str, object]] = None
@@ -187,7 +189,7 @@ def _replay_window(payload: Dict[str, Any]) -> Dict[str, Any]:
     )
     run.run_to_completion(drain=True)
     return {
-        "index": payload.get("index"),
+        "index": payload["index"],
         "start": payload["start"],
         "end": payload["end"],
         "window": run.collector.window.to_dict(),
@@ -232,20 +234,22 @@ def shard_replay(
             workers=0,
         )
 
-    payloads = [_window_payload(config, workload, window) for window in windows]
-    for window, payload in zip(windows, payloads):
-        payload["index"] = window.index
+    payloads = [
+        _window_payload(config, workload, window.start, window.end, window.index)
+        for window in windows
+    ]
 
     if force_sequential or len(windows) == 1:
         worker_count = 0
         results = [_replay_window(payload) for payload in payloads]
     else:
         # An explicit worker count is honoured as given (tests exercise the
-        # process pool on single-core boxes); the default adapts to the host.
+        # process pool on single-core boxes); the default adapts to the CPUs
+        # this process may run on.
         if workers is not None:
             worker_count = min(int(workers), len(windows))
         else:
-            worker_count = min(4, os.cpu_count() or 1, len(windows))
+            worker_count = min(4, _usable_cpus(), len(windows))
         worker_count = max(worker_count, 1)
         if worker_count == 1:
             results = [_replay_window(payload) for payload in payloads]
@@ -284,15 +288,9 @@ def shard_replay(
     if fallback_from is not None:
         # Serial repair: every spec from the first invalid window onward is
         # re-run in-process as one window (exact by construction).
-        tail_start = windows[fallback_from].start
-        tail_payload = {
-            "config": config.to_dict(),
-            "name": f"{workload.name}[{tail_start}:]",
-            "start": tail_start,
-            "end": len(workload.jobs),
-            "index": None,
-            "specs": [_spec_dict(spec) for spec in workload.jobs[tail_start:]],
-        }
+        tail_payload = _window_payload(
+            config, workload, windows[fallback_from].start, len(workload.jobs)
+        )
         tail_result = _replay_window(tail_payload)
         merged.merge(WindowedMetrics.from_dict(tail_result["window"]))
         events += tail_result["events"]

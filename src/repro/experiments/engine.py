@@ -29,8 +29,15 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import repro
-from repro.experiments.setup import ExperimentConfig, ExperimentResult, run_experiment
+from repro.experiments.setup import (
+    ExperimentConfig,
+    ExperimentResult,
+    build_workload,
+    run_experiment,
+)
 from repro.metrics.collector import ExperimentMetrics
+from repro.sim.rng import RandomStreams
+from repro.workloads.spec import WorkloadSpec
 
 _code_version_cache: Optional[str] = None
 
@@ -185,7 +192,8 @@ def run_configs(
         finished first.
     jobs:
         Number of worker processes.  ``1`` (the default) runs everything in
-        this process; higher values fan the cache misses out over a
+        this process and builds each distinct workload once; higher values
+        fan the cache misses out over a
         :class:`~concurrent.futures.ProcessPoolExecutor`.  Seeds live in the
         configurations themselves, so the schedule of workers cannot change
         any result.
@@ -227,8 +235,17 @@ def run_configs(
             for index, record in zip(misses, records):
                 results[index] = record_to_result(record)
     else:
+        # Configurations that differ only in policy replay the same
+        # workload: build each distinct one once.  This is exact, because
+        # the "workload" stream feeds only the build and every stream is
+        # derived from its name, not from the order in which runs draw.
+        workloads: Dict[tuple, WorkloadSpec] = {}
         for index in misses:
-            results[index] = run_experiment(configs[index])
+            config = configs[index]
+            key = (config.workload, config.job_count, config.seed)
+            if key not in workloads:
+                workloads[key] = build_workload(config, RandomStreams(seed=config.seed))
+            results[index] = run_experiment(config, workload=workloads[key])
 
     if store is not None:
         for index in misses:

@@ -12,13 +12,14 @@ runs one configuration that way and returns the collected
 
 from __future__ import annotations
 
+import functools
 import gc
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from math import inf
 from numbers import Integral
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional, TypeVar, cast
 
 from repro.cluster.background import BackgroundLoadSpec
 from repro.cluster.das3 import DAS3_CLUSTERS, das3_multicluster
@@ -470,13 +471,20 @@ def _profile_registry(config: ExperimentConfig):
 
 @contextmanager
 def gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector for the duration of a run.
+    """Pause the cyclic garbage collector, then collect the young generation.
 
-    The event loop allocates heavily (events, schedule entries, generator
-    frames) but almost everything dies by reference counting, so the
-    periodic generation-0 scans only cost time.  The pause is skipped when
-    the caller already disabled collection, and collection is restored (and
-    the run's survivors swept once) on every exit path.
+    A run's object graph (environment, processes, scheduler, runners,
+    clusters) is cyclic, so periodic collections during the run would only
+    scan it again and again.  Nothing is collected during the pause, so
+    everything the block allocated is still in the youngest generation when
+    it ends, and the closing generation-0 collection frees what of it is
+    unreachable by then.  What is still reachable is promoted instead, and a
+    promoted run graph stays until a full collection, which a process that
+    spends most of its time simulating seldom makes, so each entry point
+    that simulates lets go of its run inside the pause (see
+    :func:`frees_its_run`).  The pause is skipped
+    when collection is already off, so a nested pause is a no-op, and
+    collection is restored on every exit path.
     """
     if not gc.isenabled():
         yield
@@ -487,6 +495,28 @@ def gc_paused() -> Iterator[None]:
     finally:
         gc.enable()
         gc.collect(generation=0)
+
+
+_Simulate = TypeVar("_Simulate", bound=Callable[..., Any])
+
+
+def frees_its_run(simulate: _Simulate) -> _Simulate:
+    """Call *simulate* under one GC pause that frees the run it simulated.
+
+    *simulate* builds, advances and reads a simulation in its own frame and
+    returns only what outlives the run.  The frame is gone before the pause
+    ends, so the pause's closing collection frees the whole run graph
+    instead of promoting it.  :func:`run_experiment`, the shard engine's
+    window replay, :func:`repro.checkpoint.runner.run_checkpointed` and the
+    daemon's checkpointed worker are wrapped this way.
+    """
+
+    @functools.wraps(simulate)
+    def paused(*args: Any, **kwargs: Any) -> Any:
+        with gc_paused():
+            return simulate(*args, **kwargs)
+
+    return cast(_Simulate, paused)
 
 
 @dataclass
@@ -596,6 +626,12 @@ class SimulationRun:
         are evicted at every check so the resident set stays proportional to
         the in-flight working set (the caller is expected to collect metrics
         through a streaming window).
+
+        The loop runs under its own :func:`gc_paused`, which is a no-op
+        inside the pause of a function wrapped by :func:`frees_its_run`.  A
+        direct caller still holds the run when that pause ends, so the run
+        is promoted, not freed: code that runs many simulations goes through
+        such a function.
         """
         env = self.env
         limit = float(self.config.time_limit)
@@ -629,10 +665,15 @@ def _open_tracer(config: ExperimentConfig) -> Optional["Tracer"]:
     )
 
 
+@frees_its_run
 def run_experiment(
     config: ExperimentConfig, *, workload: Optional[WorkloadSpec] = None
 ) -> ExperimentResult:
     """Run one experiment to completion and collect its metrics.
+
+    Building, running and reading the simulation share one GC pause, at
+    whose end the run is freed (see :func:`frees_its_run`): the result
+    keeps no reference into it.
 
     Parameters
     ----------

@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import repro
 from repro.experiments.engine import _execute_record, config_key
-from repro.experiments.setup import ExperimentConfig
+from repro.experiments.setup import ExperimentConfig, frees_its_run
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.service import protocol
@@ -74,6 +74,7 @@ CANCELLED = "cancelled"
 ACTIVE_STATES = (QUEUED, RUNNING)
 
 
+@frees_its_run
 def _execute_checkpointed(
     config_data: Dict[str, Any], every: float, directory: str
 ) -> Dict[str, Any]:
@@ -87,6 +88,9 @@ def _execute_checkpointed(
     the run resumes from the most advanced restorable one instead of
     starting over; on completion the checkpoints are deleted.  Returns a
     JSON-shaped windowed summary (streaming metrics, no per-job arrays).
+    The restore happens inside this function's GC pause, so a resumed run
+    is freed on return like a fresh one (see
+    :func:`~repro.experiments.setup.frees_its_run`).
     """
     from repro.checkpoint.restore import restore_run
     from repro.checkpoint.envelope import load_checkpoint

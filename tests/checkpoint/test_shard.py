@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.checkpoint import (
@@ -86,6 +88,22 @@ def test_sharded_equals_serial_process_pool():
     assert result.workers == 2
     assert result.sharded
     assert result.metrics.digest == reference
+
+
+def test_default_pool_fits_the_cpus_the_process_may_use(monkeypatch):
+    import repro.checkpoint.shard as shard
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process allowed one CPU started a pool")
+
+    # One CPU in the affinity mask, whatever os.cpu_count() says.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(shard, "ProcessPoolExecutor", no_pool)
+    config = shard_bench_config(600, seed=0)
+    result = shard_replay(config, workload=burst_workload(600, burst_size=150, gap=900.0))
+    assert len(result.windows) == 4
+    assert result.workers == 1
+    assert result.all_done and result.metrics.jobs == 600
 
 
 def test_boundary_violation_repaired_exactly():

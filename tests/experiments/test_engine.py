@@ -106,7 +106,7 @@ def test_refresh_ignores_cached_entries(tmp_path, monkeypatch):
     calls = []
     real = engine.run_experiment
     monkeypatch.setattr(
-        engine, "run_experiment", lambda c: calls.append(c) or real(c)
+        engine, "run_experiment", lambda c, **kw: calls.append(c) or real(c, **kw)
     )
     run_configs([config()], cache=cache, refresh=True)
     assert len(calls) == 1
@@ -130,6 +130,23 @@ def test_run_configs_preserves_order_and_rejects_bad_jobs():
     assert [r.config.seed for r in results] == [3, 1, 2]
     with pytest.raises(ValueError):
         run_configs(configs, jobs=0)
+
+
+def test_a_serial_sweep_builds_each_distinct_workload_once(monkeypatch):
+    import repro.experiments.setup as setup
+
+    built = []
+    real = setup.build_named_workload
+
+    def counted(name, *args, **kwargs):
+        built.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(setup, "build_named_workload", counted)
+    # figure7 runs FPSMA and EGS over Wm and Wmr: four runs, two workloads.
+    results = run_scenario("figure7", job_count=20, jobs=1, cache=None)
+    assert len(results) == 4
+    assert sorted(built) == ["Wm", "Wmr"]
 
 
 def test_parallel_metrics_are_byte_identical_to_serial(tmp_path):

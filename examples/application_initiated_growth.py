@@ -37,6 +37,7 @@ from repro.dynaco import (
     MalleabilityPlanner,
 )
 from repro.sim import Environment
+from repro.sim.events import URGENT
 
 
 def main() -> None:
@@ -67,13 +68,20 @@ def main() -> None:
 
     log: list[str] = []
 
-    def application_logic(env):
+    # Both activities are callback chains: each link does its work and
+    # appends the next link to the callbacks of the event it waits on.
+
+    def application_logic(_event) -> None:
         """The application's own progress loop: it requests growth itself."""
         application.start()
         log.append(f"[{env.now:7.1f}s] started on {application.allocation} processors")
+        check_progress()
+
+    def check_progress(_event=None) -> None:
         # Phase 1: run until ~40% of the work is done.
-        while application.remaining_fraction > 0.6:
-            yield env.timeout(10.0)
+        if application.remaining_fraction > 0.6:
+            env.timeout(10.0).callbacks.append(check_progress)
+            return
         # The refinement step arrives: the application asks for 16 more
         # processors through its own monitor (application-initiated growth).
         event = GrowOffer(
@@ -83,15 +91,20 @@ def main() -> None:
             source="application",
         )
         log.append(f"[{env.now:7.1f}s] application requests 16 more processors")
-        result = yield dynaco.adapt(event, application.allocation)
+        dynaco.adapt(event, application.allocation).callbacks.append(application_adapted)
+
+    def application_adapted(completion) -> None:
+        result = completion.value
         log.append(
             f"[{env.now:7.1f}s] adaptation executed: +{result.accepted_change} "
             f"processors -> {result.new_allocation}"
         )
 
-    def scheduler_logic(env):
+    def scheduler_logic(_event) -> None:
         """Independently, the scheduler also offers processors (the usual path)."""
-        yield env.timeout(60.0)
+        env.timeout(60.0).callbacks.append(scheduler_offer)
+
+    def scheduler_offer(_event) -> None:
         if application.is_finished:
             return
         event = GrowOffer(
@@ -99,14 +112,18 @@ def main() -> None:
             source="scheduler",
         )
         log.append(f"[{env.now:7.1f}s] scheduler offers 8 more processors")
-        result = yield dynaco.adapt(event, application.allocation)
+        dynaco.adapt(event, application.allocation).callbacks.append(scheduler_adapted)
+
+    def scheduler_adapted(completion) -> None:
+        result = completion.value
         log.append(
             f"[{env.now:7.1f}s] scheduler-initiated adaptation: "
             f"+{result.accepted_change} -> {result.new_allocation} processors"
         )
 
-    env.process(application_logic(env))
-    env.process(scheduler_logic(env))
+    # Each chain's first link runs in an URGENT event at t=0, in this order.
+    env.relay(application_logic, URGENT)
+    env.relay(scheduler_logic, URGENT)
     env.run(application.completed)
 
     log.append(

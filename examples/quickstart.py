@@ -21,6 +21,7 @@ from repro.cluster import das3_multicluster
 from repro.koala import Job, KoalaScheduler, SchedulerConfig
 from repro.metrics import ExperimentMetrics, format_table
 from repro.sim import Environment, RandomStreams
+from repro.sim.events import URGENT
 
 
 def main() -> None:
@@ -45,16 +46,18 @@ def main() -> None:
 
     # 3. Submit a small workload: alternating GADGET-2 and FT malleable jobs,
     #    two minutes apart, all starting at their minimum size of 2 nodes.
+    #    The submitter is a callback chain: each link submits one job and
+    #    arms a timeout whose callback is the next link.
     profiles = [gadget2_profile(), ft_profile()]
 
-    def submit_jobs(env):
-        for index in range(8):
-            profile = profiles[index % 2]
-            job = Job.malleable(profile, name=f"{profile.name}-{index + 1}")
-            scheduler.submit(job)
-            yield env.timeout(120.0)
+    def submit_job(index: int) -> None:
+        profile = profiles[index % 2]
+        scheduler.submit(Job.malleable(profile, name=f"{profile.name}-{index + 1}"))
+        if index + 1 < 8:
+            env.timeout(120.0).callbacks.append(lambda _event: submit_job(index + 1))
 
-    env.process(submit_jobs(env))
+    # The first link runs in an URGENT event at t=0, once the run starts.
+    env.relay(lambda _event: submit_job(0), URGENT)
 
     # 4. Run until everything finished and report.
     env.run(until=20_000)

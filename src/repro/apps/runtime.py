@@ -13,6 +13,14 @@ the MRunner and the real application:
   the new size and acknowledges;
 * when the work is done the :attr:`completed` event triggers.
 
+The execution is a callback chain, not a process.  An URGENT relay begins
+it; each computation segment is a timeout whose callback is the
+application's *completion link* (:meth:`RunningApplication._resume`).  A
+reallocation or an abort interrupts a segment: it takes the completion link
+off the pending timeout (which stays queued and fires with no callback) and
+resumes the chain in an URGENT relay instead.  A request that arrives while
+such an interrupt is in flight only joins the queue.
+
 Everything the evaluation metrics need (allocation over time, number of
 reconfigurations, execution time) is captured in an
 :class:`ExecutionRecord`.
@@ -22,13 +30,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
 from repro.apps.profiles import ApplicationProfile
 from repro.sim.core import Environment
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import URGENT, Event
 from repro.sim.monitor import TimeSeries
 
 #: Remaining work below this fraction counts as finished (guards against
@@ -177,9 +186,12 @@ class RunningApplication:
         self._remaining = float(total_work)
         self._total_work = float(total_work)
         self._pending: Deque[Tuple[int, Event]] = deque()
-        self._interruptible = False
+        self._started = False
+        #: The event whose callbacks hold the completion link while the
+        #: application computes (or waits for processors) and a request may
+        #: interrupt it; ``None`` otherwise, and once an interrupt is in flight.
+        self._interruptible: Optional[Event] = None
         self._aborted = False
-        self._process = None
         #: Start time and rate of the progressing segment currently underway
         #: (``None`` while paused or reconfiguring); lets ``remaining_fraction``
         #: report live progress between simulation events.
@@ -228,10 +240,11 @@ class RunningApplication:
     # -- control interface used by the runner ------------------------------
 
     def start(self) -> "RunningApplication":
-        """Begin executing.  May only be called once."""
-        if self._process is not None:
+        """Begin executing (in an URGENT relay).  May only be called once."""
+        if self._started:
             raise RuntimeError(f"application {self.job_id!r} has already been started")
-        self._process = self.env.process(self._compute())
+        self._started = True
+        self.env.relay(self._begin, URGENT)
         return self
 
     def set_allocation(self, new_size: int) -> Event:
@@ -241,12 +254,13 @@ class RunningApplication:
         reconfiguration (adaptation-point wait plus reconfiguration cost) has
         completed.  If the application finishes before the request is served,
         the event succeeds immediately with the allocation held at completion;
-        callers must check :attr:`is_finished`.
+        callers must check :attr:`is_finished`.  Requests are served one at a
+        time, in arrival order.
 
         The caller is responsible for having filtered *new_size* through the
         application's size constraint (the DYNACO decide component does this).
         """
-        if self._process is None:
+        if not self._started:
             raise RuntimeError(f"application {self.job_id!r} has not been started")
         if new_size < 0:
             raise ValueError("new_size must be non-negative")
@@ -255,8 +269,8 @@ class RunningApplication:
             ack.succeed(self._allocation)
             return ack
         self._pending.append((int(new_size), ack))
-        if self._interruptible and self._process.is_alive:
-            self._process.interrupt("reallocation")
+        if self._interruptible is not None:
+            self._interrupt()
         return ack
 
     def abort(self) -> None:
@@ -268,7 +282,7 @@ class RunningApplication:
         it from a successful completion) and :attr:`completed` triggers so
         waiters unwind.  Idempotent; a no-op after normal completion.
         """
-        if self._process is None or self.is_finished:
+        if not self._started or self.is_finished:
             return
         self._aborted = True
         # Freeze progress accounting: the time computed so far still shows in
@@ -280,8 +294,8 @@ class RunningApplication:
             _, ack = self._pending.popleft()
             if not ack.triggered:
                 ack.succeed(self._allocation)
-        if self._interruptible and self._process.is_alive:
-            self._process.interrupt("aborted")
+        if self._interruptible is not None:
+            self._interrupt()
         if not self.completed.triggered:
             self.completed.succeed(self.record)
 
@@ -319,51 +333,53 @@ class RunningApplication:
         self._progressing_since = None
         self._progressing_rate = 0.0
 
-    def _compute(self):
-        """Main application process (a simulation generator)."""
-        env = self.env
-        self.record.start_time = env.now
+    def _begin(self, _event: Event) -> None:
+        """The chain's first link: open the record, then compute."""
+        self.record.start_time = self.env.now
         self._record_allocation()
+        self._advance()
 
+    def _advance(self) -> None:
+        """Compute and serve requests until the chain waits on an event."""
+        env = self.env
         while not self._aborted and self._remaining > _WORK_EPSILON:
             if self._pending:
-                yield from self._serve_reconfiguration()
+                if self._serve():
+                    return
                 continue
-
             if self._allocation < 1:
                 # No processors at all: stay suspended until a reallocation
                 # request arrives.  (In practice jobs never shrink below their
                 # minimum size, but the runtime stays well-defined if they do.)
-                pause = env.event()
-                self._interruptible = True
-                try:
-                    yield pause
-                except Interrupt:
-                    pass
-                finally:
-                    self._interruptible = False
-                continue
-
+                self._wait_interruptibly(Event(env))
+                return
             # Plain computation until completion or until a reconfiguration
             # request interrupts it.
             time_to_finish = self._remaining / self._rate(self._allocation)
             self._begin_progress()
-            self._interruptible = True
-            try:
-                yield env.timeout(time_to_finish)
-            except Interrupt:
-                pass
-            finally:
-                self._interruptible = False
-                self._end_progress()
+            self._wait_interruptibly(env.timeout(time_to_finish))
+            return
+        if not self._aborted:  # abort() already closed the record
+            self._finish()
 
-        if self._aborted:
-            return  # abort() already closed the record and triggered waiters
-        self._finish()
+    def _wait_interruptibly(self, event: Event) -> None:
+        self._interruptible = event
+        event.callbacks.append(self._resume)
 
-    def _serve_reconfiguration(self):
-        """Handle the oldest pending reconfiguration request."""
-        env = self.env
+    def _resume(self, _event: Event) -> None:
+        """The completion link: a segment ended, or a request interrupted it."""
+        self._interruptible = None
+        self._end_progress()
+        self._advance()
+
+    def _interrupt(self) -> None:
+        """Take the completion link off the segment; resume in an URGENT relay."""
+        self._interruptible.callbacks.remove(self._resume)
+        self._interruptible = None
+        self.env.relay(self._resume, URGENT)
+
+    def _serve(self) -> bool:
+        """Serve the oldest pending request; ``True`` while it waits on a timeout."""
         new_size, ack = self._pending.popleft()
 
         # The application keeps computing until its next adaptation point.
@@ -375,32 +391,51 @@ class RunningApplication:
             else:
                 segment = wait
             self._begin_progress()
-            yield env.timeout(segment)
-            self._end_progress()
-            if self._aborted:
-                if not ack.triggered:
-                    ack.succeed(self._allocation)
-                return
-            if self._remaining <= _WORK_EPSILON:
-                # Finished before reaching the adaptation point: the
-                # reconfiguration never happens.
-                ack.succeed(self._allocation)
-                return
+            self.env.timeout(segment).callbacks.append(
+                partial(self._at_adaptation_point, new_size, ack)
+            )
+            return True
+        return self._redistribute(new_size, ack)
 
-        old = self._allocation
-        cost = self.profile.reconfiguration.cost(old, new_size)
+    def _at_adaptation_point(self, new_size: int, ack: Event, _event: Event) -> None:
+        self._end_progress()
+        if self._aborted or self._remaining <= _WORK_EPSILON:
+            # Aborted, or finished before reaching the adaptation point: the
+            # reconfiguration never happens.
+            if not ack.triggered:
+                ack.succeed(self._allocation)
+        elif self._redistribute(new_size, ack):
+            return
+        self._advance()
+
+    def _redistribute(self, new_size: int, ack: Event) -> bool:
+        """Adopt *new_size* after the reconfiguration cost; ``True`` while paused."""
+        cost = self.profile.reconfiguration.cost(self._allocation, new_size)
         if cost > 0:
             # The application is suspended while it redistributes its data.
-            yield env.timeout(cost)
-            if self._aborted:
-                if not ack.triggered:
-                    ack.succeed(self._allocation)
-                return
+            self.env.timeout(cost).callbacks.append(
+                partial(self._redistributed, new_size, cost, ack)
+            )
+            return True
+        self._adopt(new_size, cost, ack)
+        return False
 
+    def _redistributed(self, new_size: int, cost: float, ack: Event, _event: Event) -> None:
+        if self._aborted:
+            if not ack.triggered:
+                ack.succeed(self._allocation)
+            return
+        self._adopt(new_size, cost, ack)
+        self._advance()
+
+    def _adopt(self, new_size: int, cost: float, ack: Event) -> None:
+        old = self._allocation
         self._allocation = new_size
         self._record_allocation()
         self.record.reconfigurations.append(
-            Reconfiguration(time=env.now, old_allocation=old, new_allocation=new_size, cost=cost)
+            Reconfiguration(
+                time=self.env.now, old_allocation=old, new_allocation=new_size, cost=cost
+            )
         )
         ack.succeed(new_size)
 

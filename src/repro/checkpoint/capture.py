@@ -27,8 +27,8 @@ submission flight, placement) is in progress — :func:`advance_to_safe_point`
 advances the simulation to the next such time.  At a safe point the
 pending event queue of a native-capturable run holds nothing but timeouts
 of three kinds (a workload-submitter link, a KIS poll link, a running rigid
-application's process resumption); the capture classifies every entry by
-its callback's function and owner, refusing loudly on anything else.
+application's completion link); the capture classifies every entry by its
+callback's function and owner, refusing loudly on anything else.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ import hashlib
 from math import inf, nextafter
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.apps.runtime import RunningApplication
 from repro.checkpoint.envelope import CHECKPOINT_FORMAT, CheckpointUnsupported
 from repro.koala.job import JobState
 from repro.koala.kis import KoalaInformationService
 from repro.sim.core import Environment
-from repro.sim.process import Process
 from repro.workloads.submission import WorkloadSubmitter
 
 #: Placement policies whose decisions depend only on the current idle view —
@@ -88,15 +88,16 @@ def native_unsupported_reason(config, workload) -> Optional[str]:
 
     ``None`` means native capture is supported.  The envelope is deliberately
     conservative: every feature listed here either keeps state capture does
-    not serialise (malleable applications' generator frames, a fault model's
-    event iterator) or draws from random streams in ways a rebuilt run would
-    not repeat bit-exactly (faults, GRAM latency jitter, background load).
+    not serialise (mid-flight reconfigurations, a fault model's event
+    iterator) or draws from random streams in ways a rebuilt run would not
+    repeat bit-exactly (faults, GRAM latency jitter, background load).
     Replay-mode capture covers all of them.
     """
     if config.malleability_policy is not None:
         return (
             "malleable job management keeps mid-flight reconfiguration state "
-            "inside application process frames"
+            "in the runner, DYNACO and application objects, which capture "
+            "does not serialise"
         )
     if config.fault_model is not None:
         return "fault injection keeps a fault model's event iterator and random streams"
@@ -224,7 +225,8 @@ def _classify_pending(run) -> Tuple[List[Dict[str, Any]], Dict[str, str]]:
     in) and the completion instant of each running job (hex).  Raises
     :class:`CheckpointUnsupported` on any entry whose one callback is not a
     known function of a known owner: the submitter's link, the KIS poll link,
-    or ``Process._resume`` of a running application's process.
+    or the completion link (``RunningApplication._resume``) of a running
+    application.
     """
     scheduler = run.scheduler
     owners: Dict[Tuple[Any, int], Tuple[str, Optional[str]]] = {
@@ -234,11 +236,11 @@ def _classify_pending(run) -> Tuple[List[Dict[str, Any]], Dict[str, str]]:
     for job in scheduler._running.values():
         runner = scheduler._runners[job.job_id]
         application = runner.application
-        if application is None or application._process is None:
+        if application is None or not application._started:
             raise CheckpointUnsupported(
-                f"running job {job.name!r} has no application process to capture"
+                f"running job {job.name!r} has no started application to capture"
             )
-        owners[(Process._resume, id(application._process))] = ("app", job.name)
+        owners[(RunningApplication._resume, id(application))] = ("app", job.name)
 
     intents: List[Dict[str, Any]] = []
     finish_of: Dict[str, str] = {}

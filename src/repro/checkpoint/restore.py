@@ -12,17 +12,17 @@ remaining drain order is identical to the uninterrupted run's:
 * The capture recorded one *intent* per pending timeout — who owns it
   (workload submitter, KIS poll loop, or a running application) and the
   original id.  Restore creates the owners in ascending original-id order.
-  Every owner schedules one URGENT event at the restore instant when it
-  starts (the submitter and the KIS poll loop a relay, a process its
-  ``Initialize``), these drain in creation order, and each one's callback
-  allocates the owner's timeout id — so the rebuilt timeouts carry ids in
-  exactly the captured relative order.
-* Running rigid applications are rehydrated as two tiny generators (the
-  application finishing at its recorded absolute instant; its runner
-  collecting the completion) whose observable effects — events pushed,
-  callbacks run, records filled — replicate the original
-  ``RunningApplication._compute`` / ``RigidRunner._start_process`` tails
-  bit for bit.
+  Every owner schedules one URGENT relay at the restore instant when it
+  starts, these drain in creation order, and each one's callback allocates
+  the owner's timeout id — so the rebuilt timeouts carry ids in exactly the
+  captured relative order.
+* Running rigid applications are rehydrated as two URGENT relays: one arms
+  the application's own completion link on a timeout at its recorded
+  absolute finish instant, the other registers the runner's completion link
+  on the application's ``completed`` event.  Their observable effects —
+  events pushed, callbacks run, records filled — replicate the tails of the
+  original chains bit for bit, and a re-capture classifies the rearmed
+  completion like the original one.
 
 Replay restore is the general path: re-run the deterministic simulation
 from time zero to the capture instant, then *prove* it re-reached the
@@ -33,6 +33,7 @@ window) before handing the run back.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -57,26 +58,27 @@ from repro.koala.job import Job, JobState
 from repro.koala.kis import KisSnapshot
 from repro.metrics.windowed import WindowedCollector, WindowedMetrics
 from repro.sim.core import Environment
+from repro.sim.events import URGENT
 from repro.sim.rng import RandomStreams
 from repro.workloads.submission import WorkloadSubmitter
 
 
-def _resume_app(env, application, finish_at: float):
-    """Rehydrated tail of ``RunningApplication._compute`` for a rigid app.
+def _resume_app(application: RunningApplication, finish_at: float, _relay) -> None:
+    """Rehydrated tail of a rigid application's computation.
 
-    The original process would sleep until its completion instant and then
-    run ``_finish()``; the work already done before the checkpoint needs no
-    re-simulation, so the rehydrated process is exactly that tail.
+    The application computes from now until its recorded completion
+    instant: its remaining work is set to what that segment does, so the
+    completion link, armed on a timeout at *finish_at*, closes the segment
+    with exactly no work left and finishes the application.
     """
-    yield env.timeout_at(finish_at)
-    application._finish()
+    application._begin_progress()
+    application._remaining = (finish_at - application.env.now) * application._progressing_rate
+    application._wait_interruptibly(application.env.timeout_at(finish_at))
 
 
-def _resume_runner(runner):
-    """Rehydrated tail of ``RigidRunner._start_process``."""
-    record = yield runner.application.completed
-    if not runner._killed:
-        runner._finish(record)
+def _resume_runner(runner, _relay) -> None:
+    """Rehydrated tail of a runner: its completion link on ``completed``."""
+    runner.application.completed.callbacks.append(runner._completed)
 
 
 def _fromhex(value: str) -> float:
@@ -194,7 +196,7 @@ def _restore_native(
         entry.last_failure_reason = queued.get("reason", "")
 
     # Running jobs: allocation, GRAM bookkeeping and application record are
-    # rebuilt synchronously; their processes are created in the intent pass
+    # rebuilt synchronously; their chains are resumed in the intent pass
     # below so event ids land in the captured relative order.
     rehydrated: Dict[str, Tuple[Any, RunningApplication, float]] = {}
     for running in data["running"]:
@@ -296,13 +298,11 @@ def _restore_native(
                 raise RestoreError(
                     f"intent references unknown running job {intent['job']!r}"
                 ) from None
-            process = env.process(_resume_app(env, application, finish_at))
-            # Wire the process back into the application so a later
-            # re-capture (and the runtime's is-alive guards) see a started
-            # application.  Safe: under the native envelope nothing
-            # interrupts a rigid application mid-flight.
-            application._process = process
-            env.process(_resume_runner(runner))
+            # A started application: a later re-capture, set_allocation()
+            # and abort() see it as running.
+            application._started = True
+            env.relay(partial(_resume_app, application, finish_at), URGENT)
+            env.relay(partial(_resume_runner, runner), URGENT)
         else:
             raise RestoreError(f"unknown intent kind {kind!r}")
     if not kis._polling:

@@ -35,7 +35,7 @@ from repro.dynaco.decide import (
     Strategy,
 )
 from repro.dynaco.plan import Action, MalleabilityPlanner, Plan, Planner
-from repro.dynaco.execute import AfpacExecutor, Executor
+from repro.dynaco.execute import AfpacExecutor
 from repro.dynaco.framework import Dynaco
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "DecisionProcedure",
     "Dynaco",
     "EnvironmentEvent",
-    "Executor",
     "GrowOffer",
     "MalleabilityDecision",
     "MalleabilityPlanner",

@@ -11,26 +11,20 @@ processors (recruit before the adaptation, release after it).
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Generator, Optional
+from functools import partial
+from typing import Callable
 
 from repro.apps.runtime import RunningApplication
 from repro.dynaco.events import AdaptationResult, EnvironmentEvent
 from repro.dynaco.plan import Plan
 from repro.sim.core import Environment
+from repro.sim.events import Event
+
+#: Receives the :class:`AdaptationResult` of an executed plan.
+ResultCallback = Callable[[AdaptationResult], None]
 
 
-class Executor(ABC):
-    """Base class of execute components."""
-
-    @abstractmethod
-    def execute(
-        self, plan: Plan, event: EnvironmentEvent
-    ) -> Generator:  # pragma: no cover - interface
-        """Simulation generator executing *plan*; returns an :class:`AdaptationResult`."""
-
-
-class AfpacExecutor(Executor):
+class AfpacExecutor:
     """Executes malleability plans against a :class:`RunningApplication`.
 
     Parameters
@@ -47,66 +41,45 @@ class AfpacExecutor(Executor):
         #: Number of adaptations executed (grow + shrink), for diagnostics.
         self.executed_count = 0
 
-    def execute(self, plan: Plan, event: EnvironmentEvent) -> Generator:
-        """Run *plan* to completion (a simulation process body).
+    def execute(self, plan: Plan, event: EnvironmentEvent, then: ResultCallback) -> None:
+        """Run *plan* to completion, then call *then* with its :class:`AdaptationResult`.
 
-        The generator's return value is an :class:`AdaptationResult`.  The
-        caller (the MRunner) is responsible for having recruited new
-        processors *before* executing a grow plan and for releasing
-        processors *after* a shrink plan completes, as reported by the
-        result.
+        A plan that changes nothing calls *then* at once; otherwise *then*
+        runs when the application acknowledges its new size.  The caller
+        (the MRunner) is responsible for having recruited new processors
+        *before* executing a grow plan and for releasing processors *after*
+        a shrink plan completes, as reported by the result.
         """
         app = self.application
         old_allocation = app.allocation
         target = plan.strategy.target_allocation
 
         if plan.empty or target == old_allocation:
-            return AdaptationResult(
-                event=event,
-                accepted_change=0,
-                new_allocation=old_allocation,
-                completed_at=None,
+            then(
+                AdaptationResult(
+                    event=event,
+                    accepted_change=0,
+                    new_allocation=old_allocation,
+                    completed_at=None,
+                )
             )
+            return
 
         # The adaptation-point wait and the redistribution pause are both part
         # of the application runtime's reallocation protocol.
         ack = app.set_allocation(target)
-        adopted = yield ack
+        ack.callbacks.append(partial(self._adopted, event, old_allocation, then))
 
+    def _adopted(
+        self, event: EnvironmentEvent, old_allocation: int, then: ResultCallback, ack: Event
+    ) -> None:
+        adopted = ack.value
         self.executed_count += 1
-        return AdaptationResult(
-            event=event,
-            accepted_change=adopted - old_allocation,
-            new_allocation=adopted,
-            completed_at=self.env.now,
-        )
-
-
-class ImmediateExecutor(Executor):
-    """An executor that applies adaptations instantaneously.
-
-    Used by unit tests and by the idealised (zero-overhead) ablation
-    configuration to isolate the scheduling policies from reconfiguration
-    costs.
-    """
-
-    def __init__(self, env: Environment, application: Optional[RunningApplication] = None) -> None:
-        self.env = env
-        self.application = application
-
-    def execute(self, plan: Plan, event: EnvironmentEvent) -> Generator:
-        app = self.application
-        old_allocation = app.allocation if app is not None else 0
-        target = plan.strategy.target_allocation
-        if app is not None and not plan.empty and target != old_allocation:
-            # Bypass the runtime's adaptation-point/cost machinery entirely.
-            app._allocation = target  # noqa: SLF001 - deliberate test/ablation shortcut
-            app._record_allocation()  # noqa: SLF001
-        if False:  # pragma: no cover - makes this function a generator
-            yield None
-        return AdaptationResult(
-            event=event,
-            accepted_change=(target - old_allocation) if not plan.empty else 0,
-            new_allocation=target if not plan.empty else old_allocation,
-            completed_at=self.env.now,
+        then(
+            AdaptationResult(
+                event=event,
+                accepted_change=adopted - old_allocation,
+                new_allocation=adopted,
+                completed_at=self.env.now,
+            )
         )

@@ -6,19 +6,24 @@ basis").  The runner frontend feeds scheduler messages into the monitor; the
 framework then runs the control loop — decide, plan, execute — and returns an
 event that the runner awaits to learn the adaptation's outcome, from which it
 generates the acknowledgment back to the scheduler.
+
+An adaptation that changes the allocation is executed from an URGENT relay
+queued by :meth:`Dynaco.adapt`, so it starts right after the event in which
+it was requested, ahead of every NORMAL event of that instant.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from repro.dynaco.decide import DecisionProcedure, Strategy
 from repro.dynaco.events import AdaptationResult, EnvironmentEvent
-from repro.dynaco.execute import Executor
+from repro.dynaco.execute import AfpacExecutor
 from repro.dynaco.observe import Monitor, SchedulerFrontendMonitor
-from repro.dynaco.plan import Planner
+from repro.dynaco.plan import Plan, Planner
 from repro.sim.core import Environment
-from repro.sim.events import Event
+from repro.sim.events import URGENT, Event
 
 
 class Dynaco:
@@ -45,7 +50,7 @@ class Dynaco:
         env: Environment,
         decision: DecisionProcedure,
         planner: Planner,
-        executor: Executor,
+        executor: AfpacExecutor,
         monitor: Optional[Monitor] = None,
     ) -> None:
         self.env = env
@@ -94,7 +99,7 @@ class Dynaco:
             return completion
 
         self._in_flight.append(event)
-        self.env.process(self._execute(plan, event, completion))
+        self.env.relay(partial(self._execute, plan, event, completion), URGENT)
         return completion
 
     def preview(self, event: EnvironmentEvent, current_allocation: int) -> Strategy:
@@ -123,12 +128,16 @@ class Dynaco:
         # Events arriving directly through the monitor (e.g. from a
         # CallbackMonitor used for application-initiated requests) are adapted
         # against the executor's current view of the application.
-        application = getattr(self.executor, "application", None)
-        current = application.allocation if application is not None else 0
-        self.adapt(event, current)
+        self.adapt(event, self.executor.application.allocation)
 
-    def _execute(self, plan, event: EnvironmentEvent, completion: Event):
-        result = yield from self.executor.execute(plan, event)
+    def _execute(
+        self, plan: Plan, event: EnvironmentEvent, completion: Event, _relay: Event
+    ) -> None:
+        self.executor.execute(plan, event, partial(self._executed, event, completion))
+
+    def _executed(
+        self, event: EnvironmentEvent, completion: Event, result: AdaptationResult
+    ) -> None:
         self.history.append(result)
         if event in self._in_flight:
             self._in_flight.remove(event)

@@ -473,9 +473,9 @@ def _profile_registry(config: ExperimentConfig):
 def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, then collect the young generation.
 
-    A run's object graph (environment, processes, scheduler, runners,
-    clusters) is cyclic, so periodic collections during the run would only
-    scan it again and again.  Nothing is collected during the pause, so
+    A run's object graph (environment, scheduler, runners, clusters) is
+    cyclic, so periodic collections during the run would only scan it again
+    and again.  Nothing is collected during the pause, so
     everything the block allocated is still in the youngest generation when
     it ends, and the closing generation-0 collection frees what of it is
     unreachable by then.  What is still reachable is promoted instead, and a

@@ -17,11 +17,18 @@ operations (Section V-A of the paper).  Key design points reproduced here:
 * the application may accept fewer processors than offered (e.g. FT's
   power-of-two constraint); the surplus is voluntarily released and the
   scheduler is notified.
+
+Start, grow, shrink and failure survival are callback chains.  Each begins
+in an URGENT relay queued by the call, so the GRAM submissions and DYNACO
+adaptations of operations started in one instant keep the order of their
+calls.  The stub claims of one operation are awaited one at a time, in
+submission order.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from typing import List, Optional, Sequence
 
 from repro.apps.runtime import RunningApplication
 from repro.cluster.gram import GramJob
@@ -34,7 +41,12 @@ from repro.dynaco.plan import MalleabilityPlanner
 from repro.koala.claiming import ClaimLedger, PendingClaim
 from repro.koala.job import JobKind, JobState
 from repro.koala.runners import JobRunner
-from repro.sim.events import Event
+from repro.sim.events import URGENT, Event, when_all_processed, when_processed
+
+
+def _granted(submissions: Sequence[Event]) -> List[GramJob]:
+    """The GRAM jobs of the settled stub *submissions*; refused stubs are skipped."""
+    return [submission.value for submission in submissions if submission.ok]
 
 
 class MalleableRunner(JobRunner):
@@ -111,25 +123,23 @@ class MalleableRunner(JobRunner):
             raise ValueError("MalleableRunner only runs malleable jobs")
         outcome = self.env.event()
         self.cluster_name = cluster_name
-        self.env.process(self._start_process(cluster_name, processors, claim, ledger, outcome))
+        self.env.relay(partial(self._claim_start, processors, claim, ledger, outcome), URGENT)
         return outcome
 
-    def _claim_stub_jobs(self, count: int):
-        """Submit *count* size-1 GRAM jobs; returns the granted ones (a generator)."""
+    def _claim_stub_jobs(self, count: int, then) -> None:
+        """Submit *count* size-1 GRAM jobs; call *then* with the submissions once all settled."""
         endpoint = self.multicluster.gram(self.cluster_name)
-        submissions = [endpoint.submit(self.job.name, 1) for _ in range(count)]
-        granted: List[GramJob] = []
-        for submission in submissions:
-            try:
-                gram_job = yield submission
-            except Exception:  # GramSubmissionError: that stub was refused
-                continue
-            granted.append(gram_job)
-        return granted
+        when_all_processed([endpoint.submit(self.job.name, 1) for _ in range(count)], then)
 
-    def _start_process(self, cluster_name, processors, claim, ledger, outcome):
-        granted = yield from self._claim_stub_jobs(processors)
+    def _claim_start(self, processors, claim, ledger, outcome, _relay) -> None:
+        self._claim_stub_jobs(
+            processors, partial(self._start_claimed, processors, claim, ledger, outcome)
+        )
+
+    def _start_claimed(self, processors, claim, ledger, outcome, submissions) -> None:
+        granted = _granted(submissions)
         self._settle(claim, ledger)
+        cluster_name = self.cluster_name
         if len(granted) < processors:
             # Claiming failed: give back whatever was obtained and let the
             # scheduler re-queue the job.
@@ -170,13 +180,7 @@ class MalleableRunner(JobRunner):
         application.start()
         self.callbacks.job_started(self.job)
         outcome.succeed(True)
-
-        record = yield application.completed
-        if self._killed:
-            # Aborted by a node failure (the remaining size fell below the
-            # job's minimum): kill()/fail_job() own the cleanup.
-            return
-        self._finish(record)
+        application.completed.callbacks.append(self._completed)
 
     # -- fault tolerance ---------------------------------------------------------
 
@@ -209,15 +213,16 @@ class MalleableRunner(JobRunner):
         # The dead stubs: released without the voluntary-release accounting —
         # nothing voluntary about a node failure.
         self._release_gram_jobs(self.gram_jobs[-lost:])
-        self.env.process(self._survive_process(lost, done))
+        self.env.relay(partial(self._survive_start, lost, done), URGENT)
         return done
 
-    def _survive_process(self, lost, done):
-        application = self.application
-        current = application.allocation
+    def _survive_start(self, lost, done, _relay) -> None:
+        current = self.application.allocation
         event = self.monitor.on_shrink_message(self.env.now, lost, current, mandatory=True)
-        result = yield self.dynaco.adapt(event, current)
-        released = max(0, -result.accepted_change)
+        when_processed(self.dynaco.adapt(event, current), partial(self._survived, lost, done))
+
+    def _survived(self, lost, done, adaptation) -> None:
+        released = max(0, -adaptation.value.accepted_change)
         if released > lost:
             # The size constraint rounded below the surviving size (e.g. FT
             # dropping to the next power of two): the application gave up
@@ -254,76 +259,88 @@ class MalleableRunner(JobRunner):
             self._settle(claim, ledger)
             done.succeed(0)
             return done
-        self.env.process(self._grow_process(offered, claim, ledger, done))
+        self.env.relay(partial(self._grow_start, offered, claim, ledger, done), URGENT)
         return done
 
-    def _grow_process(self, offered, claim, ledger, done):
+    def _grow_start(self, offered, claim, ledger, done, _relay) -> None:
         self._reconfiguring = True
-        try:
-            application = self.application
-            endpoint = self.multicluster.gram(self.cluster_name)
-
-            # How many of the offered processors would the application use?
-            # (A pure preview: the real adaptation event is only published
-            # once all new processors are actually held.)
-            usable = self.preview_grow(offered)
-            if usable == 0 or application.is_finished:
-                self._settle(claim, ledger)
-                done.succeed(0)
-                return
-
-            # Claim only what will be used; the rest of the offer is declined
-            # up front (the scheduler keeps those processors available).
-            granted = yield from self._claim_stub_jobs(usable)
+        # How many of the offered processors would the application use?
+        # (A pure preview: the real adaptation event is only published
+        # once all new processors are actually held.)
+        usable = self.preview_grow(offered)
+        if usable == 0 or self.application.is_finished:
             self._settle(claim, ledger)
-            if not granted or application.is_finished:
-                for gram_job in granted:
-                    endpoint.release(gram_job)
-                if granted:
-                    self.voluntarily_released += len(granted)
-                    self.callbacks.processors_released(self.cluster_name)
-                done.succeed(0)
-                return
+            self._grow_done(done, 0)
+            return
+        # Claim only what will be used; the rest of the offer is declined
+        # up front (the scheduler keeps those processors available).
+        self._claim_stub_jobs(usable, partial(self._grow_claimed, claim, ledger, done))
 
-            # With a partial grant the application re-decides on what it got
-            # (FT may round a partial grant down to a smaller power of two).
-            current = application.allocation
-            adopted_extra = self.preview_grow(len(granted))
-            surplus = granted[adopted_extra:]
-            keep = granted[:adopted_extra]
-            for gram_job in surplus:
+    def _grow_claimed(self, claim, ledger, done, submissions) -> None:
+        granted = _granted(submissions)
+        self._settle(claim, ledger)
+        endpoint = self.multicluster.gram(self.cluster_name)
+        if not granted or self.application.is_finished:
+            for gram_job in granted:
                 endpoint.release(gram_job)
-            if surplus:
-                self.voluntarily_released += len(surplus)
+            if granted:
+                self.voluntarily_released += len(granted)
                 self.callbacks.processors_released(self.cluster_name)
-            if not keep:
-                done.succeed(0)
-                return
+            self._grow_done(done, 0)
+            return
 
-            # Recruit the stubs into application processes (fast path), then
-            # let DYNACO execute the adaptation at the next adaptation point.
-            # Only now is the grow message reflected as a monitor event: the
-            # application is never suspended before all resources are held.
-            for gram_job in keep:
-                yield endpoint.recruit(gram_job)
-            self.gram_jobs.extend(keep)
+        # With a partial grant the application re-decides on what it got
+        # (FT may round a partial grant down to a smaller power of two).
+        adopted_extra = self.preview_grow(len(granted))
+        surplus = granted[adopted_extra:]
+        keep = granted[:adopted_extra]
+        for gram_job in surplus:
+            endpoint.release(gram_job)
+        if surplus:
+            self.voluntarily_released += len(surplus)
+            self.callbacks.processors_released(self.cluster_name)
+        if not keep:
+            self._grow_done(done, 0)
+            return
+        self._recruit(keep, 0, done)
 
-            grow_event = self.monitor.on_grow_message(
-                self.env.now, len(keep), application.allocation
-            )
-            result = yield self.dynaco.adapt(grow_event, application.allocation)
-            actually_added = max(0, result.accepted_change)
-            if actually_added < len(keep):
-                # The application finished (or adopted less) while we were
-                # recruiting; release the stubs it will never use.
-                unused = keep[actually_added:]
-                self._release_gram_jobs(unused)
-                self.voluntarily_released += len(unused)
-            if actually_added > 0:
-                self.grow_operations += 1
-            done.succeed(actually_added)
-        finally:
-            self._reconfiguring = False
+    def _recruit(self, keep, recruited, done, _event=None) -> None:
+        """Recruit the kept stubs one at a time, then adapt.
+
+        Recruiting turns the stubs into application processes (fast path);
+        DYNACO then executes the adaptation at the next adaptation point.
+        Only now is the grow message reflected as a monitor event: the
+        application is never suspended before all resources are held.
+        """
+        if recruited < len(keep):
+            recruit = self.multicluster.gram(self.cluster_name).recruit(keep[recruited])
+            recruit.callbacks.append(partial(self._recruit, keep, recruited + 1, done))
+            return
+        self.gram_jobs.extend(keep)
+        application = self.application
+        grow_event = self.monitor.on_grow_message(
+            self.env.now, len(keep), application.allocation
+        )
+        when_processed(
+            self.dynaco.adapt(grow_event, application.allocation),
+            partial(self._grown, keep, done),
+        )
+
+    def _grown(self, keep, done, adaptation) -> None:
+        actually_added = max(0, adaptation.value.accepted_change)
+        if actually_added < len(keep):
+            # The application finished (or adopted less) while we were
+            # recruiting; release the stubs it will never use.
+            unused = keep[actually_added:]
+            self._release_gram_jobs(unused)
+            self.voluntarily_released += len(unused)
+        if actually_added > 0:
+            self.grow_operations += 1
+        self._grow_done(done, actually_added)
+
+    def _grow_done(self, done: Event, added: int) -> None:
+        done.succeed(added)
+        self._reconfiguring = False
 
     def shrink(
         self,
@@ -346,26 +363,24 @@ class MalleableRunner(JobRunner):
         ):
             done.succeed(0)
             return done
-        self.env.process(self._shrink_process(requested, mandatory, done))
+        self.env.relay(partial(self._shrink_start, requested, mandatory, done), URGENT)
         return done
 
-    def _shrink_process(self, requested, mandatory, done):
+    def _shrink_start(self, requested, mandatory, done, _relay) -> None:
         self._reconfiguring = True
-        try:
-            application = self.application
-            current = application.allocation
-            event = self.monitor.on_shrink_message(self.env.now, requested, current, mandatory)
-            result = yield self.dynaco.adapt(event, current)
-            released = max(0, -result.accepted_change)
-            if released > 0:
-                # Execution has already resumed inside the application; only
-                # now are the GRAM jobs released (the paper's ordering).
-                to_release = self.gram_jobs[-released:]
-                self._release_gram_jobs(to_release)
-                self.shrink_operations += 1
-            done.succeed(released)
-        finally:
-            self._reconfiguring = False
+        current = self.application.allocation
+        event = self.monitor.on_shrink_message(self.env.now, requested, current, mandatory)
+        when_processed(self.dynaco.adapt(event, current), partial(self._shrunk, done))
+
+    def _shrunk(self, done, adaptation) -> None:
+        released = max(0, -adaptation.value.accepted_change)
+        if released > 0:
+            # Execution has already resumed inside the application; only
+            # now are the GRAM jobs released (the paper's ordering).
+            self._release_gram_jobs(self.gram_jobs[-released:])
+            self.shrink_operations += 1
+        done.succeed(released)
+        self._reconfiguring = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         allocation = self.current_allocation

@@ -6,11 +6,18 @@ have different runners, all built on a common framework that interfaces them
 with the centralized scheduler (Figure 1 of the paper).  The malleable runner
 lives in :mod:`repro.koala.mrunner`; this module provides the shared base
 class and the runner used for rigid (and moldable) jobs.
+
+A runner is a callback chain, not a process.  :meth:`JobRunner.start` queues
+an URGENT relay that makes the GRAM submission, so submissions made in one
+instant reach GRAM in the order their runners were started; the submission's
+callback starts the application, whose completion calls the runner's
+completion link.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import List, Optional, Protocol
 
 import numpy as np
@@ -21,7 +28,7 @@ from repro.cluster.multicluster import Multicluster
 from repro.koala.claiming import ClaimLedger, PendingClaim
 from repro.koala.job import Job, JobKind, JobState
 from repro.sim.core import Environment
-from repro.sim.events import Event
+from repro.sim.events import URGENT, Event
 
 
 class SchedulerCallbacks(Protocol):
@@ -75,7 +82,7 @@ class JobRunner(ABC):
         self.cluster_name: Optional[str] = None
         self.application: Optional[RunningApplication] = None
         self.gram_jobs: List[GramJob] = []
-        #: Set by :meth:`kill`; tells the start process not to report the
+        #: Set by :meth:`kill`; tells the completion link not to report the
         #: aborted execution as a completion.
         self._killed = False
         #: Succeeds with the job's :class:`ExecutionRecord` when it finishes.
@@ -156,6 +163,14 @@ class JobRunner(ABC):
                 self.gram_jobs.remove(gram_job)
         self.callbacks.processors_released(self.cluster_name)
 
+    def _completed(self, completed: Event) -> None:
+        """The completion link, on the application's :attr:`completed` event."""
+        if self._killed:
+            # Aborted by a node failure: kill()/fail_job() own the cleanup
+            # and the (possible) resubmission; this execution never finished.
+            return
+        self._finish(completed.value)
+
     def _finish(self, record: ExecutionRecord) -> None:
         self.job.finish_time = self.env.now
         self.job.state = JobState.FINISHED
@@ -182,22 +197,24 @@ class RigidRunner(JobRunner):
             raise ValueError("RigidRunner cannot run malleable jobs")
         outcome = self.env.event()
         self.cluster_name = cluster_name
-        self.env.process(self._start_process(cluster_name, processors, claim, ledger, outcome))
+        self.env.relay(
+            partial(self._submit, cluster_name, processors, claim, ledger, outcome), URGENT
+        )
         return outcome
 
-    def _start_process(self, cluster_name, processors, claim, ledger, outcome):
-        endpoint = self.multicluster.gram(cluster_name)
-        submission = endpoint.submit(self.job.name, processors)
-        try:
-            gram_job = yield submission
-        except Exception as error:  # GramSubmissionError
-            self._settle(claim, ledger)
+    def _submit(self, cluster_name, processors, claim, ledger, outcome, _relay) -> None:
+        submission = self.multicluster.gram(cluster_name).submit(self.job.name, processors)
+        submission.callbacks.append(
+            partial(self._submitted, cluster_name, processors, claim, ledger, outcome)
+        )
+
+    def _submitted(self, cluster_name, processors, claim, ledger, outcome, submission) -> None:
+        self._settle(claim, ledger)
+        if not submission.ok:  # GramSubmissionError
             self.job.state = JobState.QUEUED
             outcome.succeed(False)
-            _ = error
             return
-        self._settle(claim, ledger)
-        self.gram_jobs.append(gram_job)
+        self.gram_jobs.append(submission.value)
 
         application = RunningApplication(
             self.env,
@@ -215,13 +232,7 @@ class RigidRunner(JobRunner):
         application.start()
         self.callbacks.job_started(self.job)
         outcome.succeed(True)
-
-        record = yield application.completed
-        if self._killed:
-            # Aborted by a node failure: kill()/fail_job() own the cleanup
-            # and the (possible) resubmission; this execution never finished.
-            return
-        self._finish(record)
+        application.completed.callbacks.append(self._completed)
 
 
 class RunnersFramework:

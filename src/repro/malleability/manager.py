@@ -19,18 +19,24 @@ information service (so background load submitted behind KOALA's back is
 taken into account) and from resource-release events.  A per-cluster
 *threshold* of processors is never handed to malleable jobs, so local users
 always find some capacity free.
+
+A PWA shrink campaign is a callback chain: an URGENT relay starts the wait on
+the campaign's shrinks (one at a time, in the order they were sent), and a
+second one the wait on the campaign's end, which re-scans the placement
+queue.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.malleability.policies import GrowDirective, MalleabilityPolicy
 from repro.policies.hooks import TriggerOnSchedulingEvents
 from repro.policies.registry import register
 from repro.sim.core import Environment
-from repro.sim.events import Event
+from repro.sim.events import URGENT, Event, when_all_processed, when_processed
 from repro.sim.monitor import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -218,14 +224,14 @@ class MalleabilityManager:
             self.operations.increment(self.env.now)
             release_events.append(directive.runner.shrink(directive.requested, mandatory=True))
         done = self.env.event()
-        self.env.process(self._await_releases(release_events, done))
+        self.env.relay(partial(self._await_releases, release_events, done), URGENT)
         return done
 
-    def _await_releases(self, release_events: Sequence[Event], done: Event):
-        total = 0
-        for event in release_events:
-            released = yield event
-            total += int(released or 0)
+    def _await_releases(self, release_events: List[Event], done: Event, _relay: Event) -> None:
+        when_all_processed(release_events, partial(self._released, done))
+
+    def _released(self, done: Event, release_events: Sequence[Event]) -> None:
+        total = sum(int(event.value or 0) for event in release_events)
         if not done.triggered:
             done.succeed(total)
 
@@ -263,11 +269,13 @@ class MalleabilityManager:
         if campaign is None:
             return False
         self._make_room_in_flight = True
-        self.env.process(self._campaign_end(campaign))
+        self.env.relay(partial(self._await_campaign, campaign), URGENT)
         return True
 
-    def _campaign_end(self, campaign: Event):
-        yield campaign
+    def _await_campaign(self, campaign: Event, _relay: Event) -> None:
+        when_processed(campaign, self._campaign_end)
+
+    def _campaign_end(self, _campaign: Event) -> None:
         self._make_room_in_flight = False
         # Processors have been released: let the scheduler place waiting jobs.
         self.scheduler.scan_queue()

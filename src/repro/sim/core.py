@@ -1,23 +1,18 @@
 """Simulation environment: clock, event heap and execution loop.
 
 The :class:`Environment` is the only stateful object a simulation needs to
-share: it keeps the current simulated time, a binary heap of scheduled
-``(time, priority, insertion_id, event)`` entries and the currently active
-process.  Everything else (clusters, schedulers, applications) is expressed
-in terms of callback chains and processes on events of one environment.
+share: it keeps the current simulated time and a binary heap of scheduled
+``(time, priority, insertion_id, event)`` entries.  Everything else
+(clusters, schedulers, applications) is expressed as callback chains on the
+events of one environment.
 
 Fast path
 ---------
 The run loop is the hottest code of the whole project (a full-size figure run
 processes hundreds of thousands of events), so :meth:`Environment.run` — the
-one place events fire — keeps every per-event lookup in a local, and the
-environment recycles :class:`~repro.sim.events.Timeout` instances through a
-free list (see :meth:`timeout`).  A timeout is recycled — object *and*
-callback list — only when its sole executed callback was a process
-resumption, i.e. it was produced by the ubiquitous ``yield env.timeout(d)``
-pattern, in which no reference to the event survives the resumption.
-Chain-link timeouts, ``run(until=event)`` and interrupted sleeps are never
-recycled.
+one place events fire — keeps every per-event lookup in a local, and
+:meth:`Environment.relay` builds its event without the constructor call
+chain.
 """
 
 from __future__ import annotations
@@ -27,12 +22,7 @@ from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, Optional, Union
 
-from repro.sim.events import NORMAL, PENDING, Event, Timeout
-from repro.sim.process import Process, ProcessGenerator
-
-#: The underlying function of ``Process._resume`` bound methods; used to
-#: recognise "plain process sleep" timeouts that are safe to recycle.
-_PROCESS_RESUME = Process._resume
+from repro.sim.events import NORMAL, Event, Timeout
 
 
 class StopSimulation(Exception):
@@ -62,13 +52,11 @@ class Environment:
     Examples
     --------
     >>> env = Environment()
-    >>> def proc(env):
-    ...     yield env.timeout(10)
-    ...     return env.now
-    >>> p = env.process(proc(env))
+    >>> fired = []
+    >>> env.timeout(10).callbacks.append(lambda event: fired.append(env.now))
     >>> env.run()
-    >>> p.value
-    10
+    >>> fired
+    [10.0]
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -79,9 +67,6 @@ class Environment:
         #: (:meth:`set_tracer` swaps in a recording wrapper).
         self._push = partial(heappush, self._heap)
         self._eid: int = 0
-        self._active_process: Optional[Process] = None
-        #: Free list of recycled plain-sleep timeouts (see module docstring).
-        self._timeout_pool: list[Timeout] = []
         self._events_processed: int = 0
         #: Optional :class:`repro.obs.trace.Tracer`.  ``None`` (the default)
         #: costs exactly one attribute check per :meth:`run` call.
@@ -95,11 +80,6 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process whose generator is currently executing (if any)."""
-        return self._active_process
-
-    @property
     def processed_events(self) -> int:
         """Total number of events this environment has processed so far.
 
@@ -111,32 +91,8 @@ class Environment:
 
     # -- event factories -------------------------------------------------
 
-    def process(self, generator: ProcessGenerator) -> Process:
-        """Create a new :class:`~repro.sim.process.Process` from *generator*."""
-        return Process(self, generator)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Return an event that triggers after *delay* time units.
-
-        Served from the environment's timeout free list when possible, so the
-        dominant ``yield env.timeout(d)`` pattern allocates no event object
-        and no callback list in steady state.  The flip side of recycling:
-        do not retain a reference to a plain-sleep timeout past the yield
-        that waits on it — once it has resumed its process, the object may be
-        reused for a later timeout.  (Chain-link timeouts, ``run(until=event)``
-        and interrupted sleeps are never recycled.)
-        """
-        pool = self._timeout_pool
-        if pool:
-            if not delay >= 0:
-                raise ValueError(f"delay must be >= 0, got {delay}")
-            event = pool.pop()
-            event._ok = True
-            event._value = value
-            event.defused = False
-            self._eid = eid = self._eid + 1
-            self._push((self._now + delay, NORMAL, eid, event))
-            return event
+        """Return an event that triggers after *delay* time units."""
         return Timeout(self, delay, value)
 
     def event(self) -> Event:
@@ -148,13 +104,11 @@ class Environment:
 
         Schedules a plain, already-succeeded :class:`~repro.sim.events.Event`
         whose only callback is *callback*, at ``now`` with *priority*.  This
-        is the process-free form of one hop of a fire-once process: an
-        ``URGENT`` relay stands where an ``Initialize`` or an interrupt was
-        (it runs right after the current event's callbacks, before every
-        ``NORMAL`` event at ``now``), a ``NORMAL`` relay where a resource
-        grant, a condition or a wake-up event was (it runs after every
-        ``NORMAL`` event already queued for ``now``).  Because the relay is a
-        plain ``Event``, traces and event counts see it as one.
+        is one hop of a callback chain: an ``URGENT`` relay runs right after
+        the current event's callbacks, before every ``NORMAL`` event at
+        ``now``; a ``NORMAL`` relay runs after every ``NORMAL`` event already
+        queued for ``now``.  Because the relay is a plain ``Event``, traces
+        and event counts see it as one.
         """
         event = Event.__new__(Event)
         event.env = self
@@ -195,25 +149,21 @@ class Environment:
     def timeout_at(self, at: float, value: Any = None) -> Timeout:
         """An event that triggers at the absolute time *at* (``>= now``).
 
-        The absolute-time counterpart of :meth:`timeout`, sharing its free
-        list.  Used when restoring checkpointed state: in-flight work whose
-        completion time was recorded absolutely must finish at that exact
+        The absolute-time counterpart of :meth:`timeout`.  Used where a
+        time was recorded absolutely (workload submit times, the KIS poll
+        grid, checkpointed completions): such work must happen at that exact
         float, not at ``now + delta``.
         """
         if not at >= self._now:
             raise ValueError(
                 f"timeout_at({at}) does not lie at or after the current time {self._now}"
             )
-        pool = self._timeout_pool
-        if pool:
-            event = pool.pop()
-        else:
-            # Build an unscheduled Timeout by hand: the constructor always
-            # pushes at ``now + delay``, which is exactly the rounding this
-            # method exists to avoid.
-            event = Timeout.__new__(Timeout)
-            event.env = self
-            event.callbacks = []
+        # Build an unscheduled Timeout by hand: the constructor always pushes
+        # at ``now + delay``, which is exactly the rounding this method
+        # exists to avoid.
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
         event._ok = True
         event._value = value
         event.defused = False
@@ -246,7 +196,6 @@ class Environment:
             "event_id": self._eid,
             "events_processed": self._events_processed,
             "pending": len(self._heap),
-            "timeout_pool": len(self._timeout_pool),
         }
 
     def set_tracer(self, tracer) -> None:
@@ -350,10 +299,6 @@ class Environment:
 
         heap = self._heap
         pop = heappop if self._tracer is None else self._traced_pop()
-        pool = self._timeout_pool
-        pending = PENDING
-        timeout_cls = Timeout
-        resume_func = _PROCESS_RESUME
         processed = 0
         try:
             while heap and heap[0][0] < horizon:
@@ -368,19 +313,7 @@ class Environment:
                 for callback in callbacks:
                     callback(event)
 
-                if event._ok:
-                    # Recycle plain process sleeps: one executed callback,
-                    # and that callback was a ``Process._resume``.
-                    if (
-                        type(event) is timeout_cls
-                        and len(callbacks) == 1
-                        and getattr(callbacks[0], "__func__", None) is resume_func
-                    ):
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        event._value = pending
-                        pool.append(event)
-                elif not event.defused:
+                if not event._ok and not event.defused:
                     # An event failed and nobody handled it: surface the
                     # error so the simulation does not silently swallow
                     # programming mistakes.

@@ -3,19 +3,21 @@
 An :class:`Event` is a one-shot synchronisation object.  It starts *pending*,
 may later be *triggered* (scheduled with a value or an exception), and is
 finally *processed* when the :class:`~repro.sim.core.Environment` pops it from
-the event heap and invokes its callbacks.  Callback chains append their next
-link to :attr:`Event.callbacks`; processes (see :mod:`repro.sim.process`)
-wait on events by yielding them from their generator.
+the event heap and invokes its callbacks.  Every simulated activity is a
+callback chain: each link is a callback that does its work and appends the
+next link to the :attr:`Event.callbacks` of the event it waits on.
 
 The module also defines :class:`Timeout` (an event that triggers after a
-simulated delay) and :class:`Interrupt` (the exception thrown into a process
-when it is interrupted).  There are no composite events: code that needs to
+simulated delay) and the two waits a chain needs beyond a plain append:
+:func:`when_processed` (wait on one event that may already have been
+processed) and :func:`when_all_processed` (wait on a list of events one at a
+time, in list order).  There are no composite events: code that needs to
 wait on two things registers one callback on each.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -39,20 +41,6 @@ URGENT = 0
 
 #: Default scheduling priority.
 NORMAL = 1
-
-
-class Interrupt(Exception):
-    """Exception thrown into a process when :meth:`Process.interrupt` is called.
-
-    The optional *cause* (accessible via :attr:`cause`) carries arbitrary
-    user data describing why the interruption happened, e.g. a shrink request
-    from the malleability manager.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`, or ``None``."""
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -172,8 +160,7 @@ class Timeout(Event):
             raise ValueError(f"delay must be >= 0, got {delay}")
         # Timeouts are the most allocated event of a simulation run: the
         # fields are set inline (no ``super().__init__`` / ``env.schedule``
-        # call chain), and already-fired plain sleeps are recycled through
-        # ``Environment.timeout`` without re-entering this constructor.
+        # call chain).
         self.env = env
         self.callbacks = []
         self._ok = True
@@ -183,16 +170,56 @@ class Timeout(Event):
         env._push((env._now + delay, NORMAL, eid, self))
 
 
-class Initialize(Event):
-    """Internal event used to start a newly created process immediately."""
+def when_processed(event: Event, link: Callable[[Event], Any]) -> None:
+    """Call *link* with *event* when it is processed, at once if it already was.
 
-    __slots__ = ()
+    The chain form of waiting on an event that may already have fired: an
+    event still pending (or triggered but not yet processed) gets *link*
+    appended to its callbacks; a processed one has no callback list left,
+    so *link* runs now, inside the caller's callback.
+    """
+    callbacks = event.callbacks
+    if callbacks is None:
+        link(event)
+    else:
+        callbacks.append(link)
 
-    def __init__(self, env: "Environment", process: Any) -> None:
-        self.env = env
-        self._ok = True
-        self._value = None
-        self.callbacks = [process._resume_cb]
-        self.defused = False
-        env._eid = eid = env._eid + 1
-        env._push((env._now, URGENT, eid, self))
+
+class _InOrder:
+    """The walk of :func:`when_all_processed`.
+
+    A small object with a bound-method link rather than a closure that
+    refers to itself: once the last event is processed nothing refers to the
+    walk, so reference counting frees it (and whatever its events hold) at
+    once, even while cyclic collection is paused.
+    """
+
+    __slots__ = ("events", "index", "link")
+
+    def __init__(self, events: Sequence[Event], link: Callable[[Sequence[Event]], Any]) -> None:
+        self.events = events
+        self.index = 0
+        self.link = link
+
+    def step(self, _event: Optional[Event] = None) -> None:
+        events = self.events
+        index = self.index
+        while index < len(events):
+            callbacks = events[index].callbacks
+            index += 1
+            if callbacks is not None:
+                self.index = index
+                callbacks.append(self.step)
+                return
+        self.link(events)
+
+
+def when_all_processed(events: Sequence[Event], link: Callable[[Sequence[Event]], Any]) -> None:
+    """Call *link* with *events* once every one of them is processed.
+
+    The events are waited on one at a time, in list order: the walk
+    registers on the first event not yet processed, passes processed events
+    straight on, and calls *link* inside the callback of the last event to
+    be processed (or at once, if all of them already were).
+    """
+    _InOrder(events, link).step()

@@ -36,6 +36,37 @@ def run_to_completion(env: Environment, app: RunningApplication) -> None:
     env.run(app.completed)
 
 
+def at(env: Environment, time: float, action) -> None:
+    """Run *action* in a NORMAL event at *time*."""
+    env.timeout(time - env.now).callbacks.append(lambda _event: action())
+
+
+def resize_in_turn(env: Environment, app: RunningApplication, steps, acks=None) -> None:
+    """For each ``(delay, size)``: wait *delay*, then ask for *size* and wait
+    for the acknowledgement before the next step (stop once finished).  The
+    adopted sizes are appended to *acks*."""
+
+    def step(index: int) -> None:
+        if index == len(steps):
+            return
+        delay, size = steps[index]
+
+        def resize() -> None:
+            if app.is_finished:
+                return
+
+            def acknowledged(ack) -> None:
+                if acks is not None:
+                    acks.append(ack.value)
+                step(index + 1)
+
+            app.set_allocation(size).callbacks.append(acknowledged)
+
+        at(env, env.now + delay, resize)
+
+    step(0)
+
+
 # ---------------------------------------------------------------------------
 # Fixed-allocation execution
 # ---------------------------------------------------------------------------
@@ -89,12 +120,7 @@ def test_growing_mid_run_shortens_execution():
     profile = make_profile()
     app = RunningApplication(env, profile, initial_allocation=2, adaptation_point_interval=0.0)
     app.start()
-
-    def grower(env, app):
-        yield env.timeout(25.0)  # half of the work done at T(2)=50
-        yield app.set_allocation(10)
-
-    env.process(grower(env, app))
+    resize_in_turn(env, app, [(25.0, 10)])  # half of the work done at T(2)=50
     env.run(app.completed)
     # Remaining half of the work at 10 processors takes 5 seconds.
     assert app.record.execution_time == pytest.approx(30.0)
@@ -107,12 +133,7 @@ def test_shrinking_mid_run_lengthens_execution():
     env = Environment()
     app = RunningApplication(env, make_profile(), initial_allocation=10, adaptation_point_interval=0.0)
     app.start()
-
-    def shrinker(env, app):
-        yield env.timeout(5.0)  # half done at T(10)=10
-        yield app.set_allocation(2)
-
-    env.process(shrinker(env, app))
+    resize_in_turn(env, app, [(5.0, 2)])  # half done at T(10)=10
     env.run(app.completed)
     assert app.record.execution_time == pytest.approx(30.0)
     assert app.record.shrink_count == 1
@@ -123,12 +144,7 @@ def test_reconfiguration_cost_pauses_progress():
     profile = make_profile(reconfig_cost=7.0)
     app = RunningApplication(env, profile, initial_allocation=2, adaptation_point_interval=0.0)
     app.start()
-
-    def grower(env, app):
-        yield env.timeout(25.0)
-        yield app.set_allocation(10)
-
-    env.process(grower(env, app))
+    resize_in_turn(env, app, [(25.0, 10)])
     env.run(app.completed)
     # As before but with a 7-second pause during which no progress is made.
     assert app.record.execution_time == pytest.approx(37.0)
@@ -139,17 +155,13 @@ def test_adaptation_point_wait_delays_the_switch():
     env = Environment()
     app = RunningApplication(env, make_profile(), initial_allocation=2, adaptation_point_interval=10.0)
     app.start()
-
-    def grower(env, app):
-        yield env.timeout(10.0)
-        ack = app.set_allocation(4)
-        yield ack
-        return env.now
-
-    grower_proc = env.process(grower(env, app))
+    acknowledged = []
+    at(env, 10.0, lambda: app.set_allocation(4).callbacks.append(
+        lambda _ack: acknowledged.append(env.now)
+    ))
     env.run(app.completed)
     # Without an RNG the wait is half the adaptation-point interval.
-    assert grower_proc.value == pytest.approx(15.0)
+    assert acknowledged == [pytest.approx(15.0)]
 
 
 def test_same_size_reallocation_acknowledged_immediately():
@@ -176,19 +188,62 @@ def test_queued_reallocations_are_served_in_order():
     env = Environment()
     app = RunningApplication(env, make_profile(), initial_allocation=2, adaptation_point_interval=0.0)
     app.start()
+    acks = []
 
-    def driver(env, app):
-        yield env.timeout(10.0)
-        first = app.set_allocation(4)
-        second = app.set_allocation(8)
-        yield first
-        yield second
-        return app.allocation
+    def resize_twice():
+        app.set_allocation(4).callbacks.append(lambda ack: acks.append(ack.value))
+        app.set_allocation(8).callbacks.append(lambda ack: acks.append(ack.value))
 
-    driver_proc = env.process(driver(env, app))
+    at(env, 10.0, resize_twice)
     env.run(app.completed)
-    assert driver_proc.value == 8
+    assert acks == [4, 8]
+    assert app.allocation == 8
     assert [r.new_allocation for r in app.record.reconfigurations] == [4, 8]
+
+
+def test_two_requests_in_one_instant_wait_for_their_adaptation_points_in_turn():
+    """Regression: a second request made in the instant of the first, while
+    the application computes, used to interrupt it a second time; the
+    interrupt landed while the first request waited for its adaptation point
+    and crashed the run with ``Interrupt('reallocation')``.  Now it joins the
+    queue: without an RNG each request waits half the 2-second interval, then
+    pays GADGET-2's reconfiguration cost."""
+    env = Environment()
+    app = RunningApplication(env, gadget2_profile(), 2, adaptation_point_interval=2.0)
+    app.start()
+    acks = []
+
+    def resize_twice():
+        for size in (4, 6):
+            app.set_allocation(size).callbacks.append(
+                lambda ack: acks.append((env.now, ack.value))
+            )
+
+    at(env, 10.0, resize_twice)
+    env.run(app.completed)
+    assert acks == [(16.0, 4), (21.0, 6)]
+    assert [
+        (r.time, r.old_allocation, r.new_allocation) for r in app.record.reconfigurations
+    ] == [(16.0, 2, 4), (21.0, 4, 6)]
+
+
+def test_an_abort_with_an_interrupt_in_flight_ends_the_run_cleanly():
+    """An abort in the instant a reallocation interrupted the computation
+    only closes the record: the one interrupt in flight ends the chain."""
+    env = Environment()
+    app = RunningApplication(env, make_profile(reconfig_cost=3.0), 2, adaptation_point_interval=0.0)
+    app.start()
+    acks = []
+
+    def resize_then_abort():
+        app.set_allocation(4).callbacks.append(lambda ack: acks.append(ack.value))
+        app.abort()
+
+    at(env, 10.0, resize_then_abort)
+    env.run()
+    assert app.aborted and app.record.finish_time == 10.0
+    assert acks == [2]
+    assert app.record.reconfigurations == []
 
 
 def test_ft_profile_runs_and_records_submit_time():
@@ -224,15 +279,7 @@ def test_execution_time_bounded_by_best_and_worst_allocation(initial, switches):
     profile = gadget2_profile(reconfiguration=None).with_reconfiguration(NoReconfigurationCost())
     app = RunningApplication(env, profile, initial_allocation=initial, adaptation_point_interval=0.0)
     app.start()
-
-    def driver(env, app, switches):
-        for delay, size in switches:
-            yield env.timeout(delay)
-            if app.is_finished:
-                return
-            yield app.set_allocation(size)
-
-    env.process(driver(env, app, switches))
+    resize_in_turn(env, app, switches)
     env.run(app.completed)
 
     sizes = [initial] + [size for _, size in switches]
@@ -255,16 +302,7 @@ def test_allocation_history_is_consistent(initial, growths):
     app.start()
 
     applied = [initial]
-
-    def driver(env, app, growths):
-        for size in growths:
-            yield env.timeout(5.0)
-            if app.is_finished:
-                return
-            got = yield app.set_allocation(size)
-            applied.append(got)
-
-    env.process(driver(env, app, growths))
+    resize_in_turn(env, app, [(5.0, size) for size in growths], acks=applied)
     env.run(app.completed)
     series = app.record.allocation_series
     assert series.values[0] == initial

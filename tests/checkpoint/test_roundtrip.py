@@ -117,6 +117,34 @@ def test_recapture_of_restored_run_matches(tmp_path):
     assert again.collector.window.digest == _serial_digest(_config(), _workload())
 
 
+def test_a_restored_application_reports_the_progress_of_the_original():
+    """Each running application resumes with the work its recorded
+    completion instant leaves, so its live progress matches the original
+    run's at the capture instant and later."""
+    run = SimulationRun.fresh(
+        _config(), workload=_workload(), retain_jobs=False, collect_windowed=True
+    )
+    step_until(run.env, 100.0)  # inside the first burst
+    advance_to_safe_point(run)
+    run.scheduler.drain_finished()
+    envelope = capture_state(run, mode="native")
+    assert envelope["running"]
+    restored = restore_run(envelope, workload=_workload())
+
+    def progress(simulation):
+        return {
+            job.name: simulation.scheduler.runner_for(job).application.remaining_fraction
+            for job in simulation.scheduler.running_jobs()
+        }
+
+    later = run.env.now + 1.0
+    for simulation in (run, restored):
+        step_until(simulation.env, later)
+    expected = progress(run)
+    assert expected and all(0.0 < value < 1.0 for value in expected.values())
+    assert progress(restored) == pytest.approx(expected, rel=1e-9)
+
+
 def test_run_checkpointed_picks_the_capture_mode_from_the_config():
     native = run_checkpointed(_config(), checkpoint_every=700.0, workload=_workload())
     assert native["last_checkpoint"]["mode"] == "native"
@@ -140,7 +168,7 @@ def test_native_capture_refused_outside_envelope():
 @pytest.mark.parametrize("stray", ["lambda", "other_kis_method"])
 def test_native_capture_refuses_a_pending_timeout_it_cannot_classify(stray):
     """Only the submitter link, the KIS poll link and a running application's
-    process resumption are captured; any other pending callback is refused,
+    completion link are captured; any other pending callback is refused,
     even a method of the KIS itself."""
     run = SimulationRun.fresh(
         _config(), workload=_workload(), retain_jobs=False, collect_windowed=True

@@ -10,6 +10,11 @@ from repro.cluster import AllocationError, Cluster
 from repro.sim import Environment
 
 
+def at(env, time, action):
+    """Run *action* in a NORMAL event at *time*."""
+    env.timeout(time - env.now).callbacks.append(lambda _event: action())
+
+
 def test_cluster_requires_at_least_one_processor(env):
     with pytest.raises(ValueError):
         Cluster(env, "empty", 0)
@@ -67,15 +72,9 @@ def test_release_of_unknown_allocation_rejected(env):
 
 def test_usage_series_records_changes_over_time(env):
     cluster = Cluster(env, "c", 10)
-
-    def workload(env, cluster):
-        allocation = cluster.allocate(6, owner="j1")
-        yield env.timeout(10)
-        allocation.release()
-        yield env.timeout(5)
-        cluster.allocate(2, owner="j2", kind="local")
-
-    env.process(workload(env, cluster))
+    allocation = cluster.allocate(6, owner="j1")
+    at(env, 10, allocation.release)
+    at(env, 15, lambda: cluster.allocate(2, owner="j2", kind="local"))
     env.run()
     series = cluster.usage_series
     assert series.value_at(0) == 6
@@ -98,20 +97,18 @@ def test_usage_series_keep_the_last_change_of_each_instant(env):
     instant's last counters; changes in different instants each leave one
     step, as float times and values."""
     cluster = Cluster(env, "c", 10)
+    flash = cluster.allocate(3, owner="flash")
+    local = cluster.allocate(2, owner="bg", kind="local")
+    flash.release()
+    grid = []
 
-    def workload(env):
-        flash = cluster.allocate(3, owner="flash")
-        local = cluster.allocate(2, owner="bg", kind="local")
-        flash.release()
-        yield env.timeout(5)
-        grid = cluster.allocate(4, owner="j1")
+    def swap():
+        grid.append(cluster.allocate(4, owner="j1"))
         local.release()
-        yield env.timeout(3)
-        grid.release()
-        yield env.timeout(2)
-        cluster.release(cluster.allocate(1, owner="blip"))
 
-    env.process(workload(env))
+    at(env, 5, swap)
+    at(env, 8, lambda: grid[0].release())
+    at(env, 10, lambda: cluster.release(cluster.allocate(1, owner="blip")))
     env.run()
     times = [0.0, 5.0, 8.0, 10.0]
     assert usage_steps(cluster) == [
@@ -125,19 +122,11 @@ def test_usage_series_keep_the_last_change_of_each_instant(env):
 def test_when_released_event_fires_on_next_release(env):
     cluster = Cluster(env, "c", 10)
     allocation = cluster.allocate(3, owner="j1")
-
-    def waiter(env, cluster):
-        idle = yield cluster.when_released()
-        return (env.now, idle)
-
-    def releaser(env, allocation):
-        yield env.timeout(7)
-        allocation.release()
-
-    waiter_proc = env.process(waiter(env, cluster))
-    env.process(releaser(env, allocation))
+    seen = []
+    cluster.when_released().callbacks.append(lambda event: seen.append((env.now, event.value)))
+    at(env, 7, allocation.release)
     env.run()
-    assert waiter_proc.value == (7, 10)
+    assert seen == [(7, 10)]
 
 
 def test_release_listener_sees_every_release(env):
@@ -155,15 +144,9 @@ def test_release_listener_sees_every_release(env):
 
 def test_active_allocations_sorted_by_grant_time(env):
     cluster = Cluster(env, "c", 16)
-
-    def workload(env, cluster):
-        cluster.allocate(1, owner="first")
-        yield env.timeout(1)
-        cluster.allocate(1, owner="second")
-        yield env.timeout(1)
-        cluster.allocate(1, owner="third")
-
-    env.process(workload(env, cluster))
+    cluster.allocate(1, owner="first")
+    at(env, 1, lambda: cluster.allocate(1, owner="second"))
+    at(env, 2, lambda: cluster.allocate(1, owner="third"))
     env.run()
     assert [a.owner for a in cluster.active_allocations] == ["first", "second", "third"]
 

@@ -9,6 +9,11 @@ from repro.cluster import Cluster, GramEndpoint, GramSubmissionError
 from repro.sim import Environment, RandomStreams
 
 
+def at(env, time, action):
+    """Run *action* in a NORMAL event at *time*."""
+    env.timeout(time - env.now).callbacks.append(lambda _event: action())
+
+
 def build(env, nodes=16, latency=5.0, recruit=0.5, rng=None):
     cluster = Cluster(env, "c", nodes)
     endpoint = GramEndpoint(
@@ -19,83 +24,66 @@ def build(env, nodes=16, latency=5.0, recruit=0.5, rng=None):
 
 def test_submission_becomes_active_after_latency(env):
     cluster, endpoint = build(env, latency=5.0)
-
-    def driver(env, endpoint):
-        job = yield endpoint.submit("job-1", 4)
-        return (env.now, job.processors, job.active)
-
-    driver_proc = env.process(driver(env, endpoint))
+    seen = []
+    endpoint.submit("job-1", 4).callbacks.append(
+        lambda submission: seen.append(
+            (env.now, submission.value.processors, submission.value.active)
+        )
+    )
     env.run()
-    assert driver_proc.value == (5.0, 4, True)
+    assert seen == [(5.0, 4, True)]
     assert cluster.used_processors == 4
     assert len(endpoint.active_jobs) == 1
 
 
 def test_submission_fails_when_processors_disappear(env):
     cluster, endpoint = build(env, nodes=4, latency=5.0)
+    # Takes the nodes while the GRAM submission is still in flight.
+    at(env, 1.0, lambda: cluster.allocate(3, owner="background", kind="local"))
+    seen = []
 
-    def competitor(env, cluster):
-        # Takes the nodes while the GRAM submission is still in flight.
-        yield env.timeout(1.0)
-        cluster.allocate(3, owner="background", kind="local")
+    def settled(submission):
+        if submission.ok:
+            seen.append(("ok",))
+        else:
+            assert isinstance(submission.value, GramSubmissionError)
+            seen.append(("failed", submission.value.requested, env.now))
 
-    def driver(env, endpoint):
-        try:
-            yield endpoint.submit("job-1", 2)
-        except GramSubmissionError as error:
-            return ("failed", error.requested, env.now)
-        return ("ok",)
-
-    env.process(competitor(env, cluster))
-    driver_proc = env.process(driver(env, endpoint))
+    endpoint.submit("job-1", 2).callbacks.append(settled)
     env.run()
-    assert driver_proc.value == ("failed", 2, 5.0)
+    assert seen == [("failed", 2, 5.0)]
     assert cluster.grid_processors == 0
 
 
 def test_release_returns_processors(env):
     cluster, endpoint = build(env)
-
-    def driver(env, endpoint):
-        job = yield endpoint.submit("job-1", 6)
-        yield env.timeout(10)
-        endpoint.release(job)
-        return cluster.idle_processors
-
-    driver_proc = env.process(driver(env, endpoint))
+    submission = endpoint.submit("job-1", 6)
+    at(env, 15, lambda: endpoint.release(submission.value))
     env.run()
-    assert driver_proc.value == 16
+    assert cluster.idle_processors == 16
     assert endpoint.active_jobs == []
 
 
 def test_recruit_requires_an_active_job_and_is_fast(env):
     cluster, endpoint = build(env, latency=4.0, recruit=0.5)
+    times = []
 
-    def driver(env, endpoint):
-        job = yield endpoint.submit("job-1", 1)
-        submitted_at = env.now
-        yield endpoint.recruit(job)
-        return env.now - submitted_at
+    def active(submission):
+        times.append(env.now)
+        endpoint.recruit(submission.value).callbacks.append(lambda _event: times.append(env.now))
 
-    driver_proc = env.process(driver(env, endpoint))
+    endpoint.submit("job-1", 1).callbacks.append(active)
     env.run()
-    assert driver_proc.value == pytest.approx(0.5)
+    assert times[1] - times[0] == pytest.approx(0.5)
 
 
 def test_recruit_of_released_job_rejected(env):
     cluster, endpoint = build(env)
-
-    def driver(env, endpoint):
-        job = yield endpoint.submit("job-1", 1)
-        endpoint.release(job)
-        try:
-            endpoint.recruit(job)
-        except GramSubmissionError:
-            return "rejected"
-
-    driver_proc = env.process(driver(env, endpoint))
+    submission = endpoint.submit("job-1", 1)
     env.run()
-    assert driver_proc.value == "rejected"
+    endpoint.release(submission.value)
+    with pytest.raises(GramSubmissionError):
+        endpoint.recruit(submission.value)
 
 
 def test_latency_jitter_stays_within_bounds():
@@ -104,14 +92,8 @@ def test_latency_jitter_stays_within_bounds():
     cluster, endpoint = build(env, latency=10.0, rng=rng)
     endpoint.latency_jitter = 0.2
     times = []
-
-    def driver(env, endpoint, index):
-        started = env.now
-        yield endpoint.submit(f"job-{index}", 1)
-        times.append(env.now - started)
-
     for index in range(10):
-        env.process(driver(env, endpoint, index))
+        endpoint.submit(f"job-{index}", 1).callbacks.append(lambda _event: times.append(env.now))
     env.run()
     assert all(8.0 <= t <= 12.0 for t in times)
     assert len(set(times)) > 1  # jitter actually varies

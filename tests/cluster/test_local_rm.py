@@ -61,15 +61,10 @@ def test_backfilling_lets_small_jobs_jump_the_blocked_head(env):
 def test_completion_event_fires_with_the_job(env):
     cluster, lrm = build(env, nodes=4)
     job = LocalJob(processors=2, duration=7)
-
-    def waiter(env, done):
-        finished = yield done
-        return (env.now, finished.name)
-
-    done = lrm.submit(job)
-    waiter_proc = env.process(waiter(env, done))
+    seen = []
+    lrm.submit(job).callbacks.append(lambda done: seen.append((env.now, done.value.name)))
     env.run()
-    assert waiter_proc.value == (7, job.name)
+    assert seen == [(7, job.name)]
     assert job.wait_time == 0
 
 

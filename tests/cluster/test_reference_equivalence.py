@@ -2,11 +2,13 @@
 
 Small multicluster systems, dense in same-instant ties (zero GRAM jitter,
 integer latencies, submit times and durations, background load whose gaps
-and durations are whole seconds, adaptation points at every instant, KIS
-polls on an integer grid, fault windows at integer times), run twice: once
+and durations are whole seconds, adaptation points at every instant in
+most systems, integer reconfiguration pauses, KIS polls on an integer grid,
+fault windows at integer times), run twice: once
 with the process-based reference GRAM endpoint, local resource manager,
-background-load generator, KIS, workload submitter and fault injector of
-:mod:`_reference_cluster` patched in, and once as shipped.  Both runs must
+background-load generator, KIS, workload submitter, fault injector, rigid
+and malleable runners, DYNACO, malleability manager and application runtime
+of :mod:`_reference_cluster` patched in, and once as shipped.  Both runs must
 produce the same metrics digest, the same poll instants, the same submit,
 start and finish times for every KOALA job, every local job and every
 background job, the same fault counters, and the same outcome for every
@@ -21,13 +23,17 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps.profiles import ApplicationProfile
+from repro.apps.reconfiguration import ConstantReconfigurationCost
 from repro.apps.speedup import TabulatedSpeedup
 from repro.cluster import BackgroundLoadSpec, LocalJob, Multicluster
 from repro.apps.profiles import ProfileRegistry
 from repro.cluster import multicluster as multicluster_module
 from repro.faults import injector as injector_module
 from repro.koala import Job, JobKind, KoalaScheduler, SchedulerConfig
+from repro.koala import mrunner as mrunner_module
+from repro.koala import runners as runners_module
 from repro.koala import scheduler as scheduler_module
+from repro.malleability import manager as manager_module
 from repro.metrics.collector import ExperimentMetrics, run_digest
 from repro.sim import Environment, RandomStreams
 from repro.workloads import JobSpec, WorkloadSpec
@@ -43,6 +49,12 @@ PATCHES = [
     (scheduler_module, "KoalaInformationService"),
     (submission_module, "WorkloadSubmitter"),
     (injector_module, "FaultInjector"),
+    (runners_module, "RigidRunner"),
+    (scheduler_module, "MalleableRunner"),
+    (runners_module, "RunningApplication"),
+    (mrunner_module, "RunningApplication"),
+    (mrunner_module, "Dynaco"),
+    (manager_module, "MalleabilityManager"),
 ]
 
 #: Integer execution times at every size a job can run on.
@@ -141,6 +153,12 @@ systems = st.fixed_dictionaries(
         "backfilling": st.booleans(),
         "policy": st.sampled_from(["FPSMA", "EGS"]),
         "approach": st.sampled_from(["PRA", "PWA"]),
+        # Adaptation points at every instant, twice as often as waits drawn
+        # from the applications stream; a reconfiguration that pauses the
+        # application for 0 or 1 s.  Waits and pauses run the application's
+        # request chain through its timeouts, not only its interrupt relay.
+        "adaptation": st.sampled_from([0.0, 0.0, 2.0]),
+        "reconfiguration": st.sampled_from([0.0, 1.0]),
         # A 1 s poll ties each poll with the GRAM timeouts the previous
         # poll's placements pushed.
         "poll": st.sampled_from([1.0, 2.0, 5.0]),
@@ -206,7 +224,7 @@ def run_system(system):
             malleability_policy=system["policy"],
             approach=system["approach"],
             poll_interval=system["poll"],
-            adaptation_point_interval=0.0,
+            adaptation_point_interval=system["adaptation"],
         ),
         streams=streams,
     )
@@ -246,19 +264,24 @@ def run_system(system):
                 at(env.now + hold, delay, allocation.release)
 
         at(time, delay, block)
+    profile = PROFILE
+    if system["reconfiguration"]:
+        profile = PROFILE.with_reconfiguration(
+            ConstantReconfigurationCost(system["reconfiguration"])
+        )
     jobs = []
     for index, (submit, delay, malleable, processors) in enumerate(system["koala"]):
         if malleable:
             job = Job.malleable(
-                PROFILE, initial_processors=processors, minimum=1, maximum=6,
+                profile, initial_processors=processors, minimum=1, maximum=6,
                 name=f"koala-{index}",
             )
         else:
-            job = Job.rigid(PROFILE.as_rigid(), processors, name=f"koala-{index}")
+            job = Job.rigid(profile.as_rigid(), processors, name=f"koala-{index}")
         jobs.append(job)
         at(submit, delay, lambda job=job: scheduler.submit(job))
     registry = ProfileRegistry()
-    registry.register(PROFILE)
+    registry.register(profile)
     workload = WorkloadSpec(
         name="submitted",
         jobs=[
@@ -338,6 +361,8 @@ def test_the_reference_is_patched_in_and_the_property_sees_ties():
         "backfilling": False,
         "policy": "FPSMA",
         "approach": "PRA",
+        "adaptation": 0.0,
+        "reconfiguration": 0.0,
         "poll": 5.0,
         "local": [(0, 0, 0, 2, 5), (1, 0, 0, 3, 5), (0, 5, 1, 4, 3)],
         "blockers": [(1, 2, 1, 1, 3)],
@@ -361,6 +386,14 @@ def test_the_reference_is_patched_in_and_the_property_sees_ties():
     assert type(scheduler.kis) is reference.KoalaInformationService
     assert type(submitter) is reference.WorkloadSubmitter
     assert type(injector) is reference.FaultInjector
+    assert type(scheduler.manager) is reference.MalleabilityManager
+    runners = list(scheduler._runners.values())
+    rigid = [runner for runner in runners if runner.job.kind is JobKind.RIGID]
+    malleable = [runner for runner in runners if runner.job.kind is JobKind.MALLEABLE]
+    assert rigid and all(type(runner) is reference.RigidRunner for runner in rigid)
+    assert malleable and all(type(runner) is reference.MalleableRunner for runner in malleable)
+    assert all(type(runner.application) is reference.RunningApplication for runner in runners)
+    assert all(type(runner.dynaco) is reference.Dynaco for runner in malleable)
     assert simulate(system) == outcome
     digest, polls, koala_times, local_times, background, resilience, blocked = outcome
     assert blocked == [(0, 2.0, True)]

@@ -24,6 +24,7 @@ from repro.cluster import (
     LocalResourceManager,
 )
 from repro.sim import Environment
+from repro.sim.events import URGENT
 
 
 def later(env, action):
@@ -37,14 +38,9 @@ def at(env, time, action):
 
 
 def urgent(env, action):
-    """Run *action* in an URGENT event queued now (a process's first step)."""
-
-    def body():
-        action()
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    env.process(body())
+    """Run *action* in an URGENT event queued now (where a process's first
+    step used to run)."""
+    env.relay(lambda _event: action(), URGENT)
 
 
 def gatekeeper(env, nodes, concurrency, latency=5.0, **options):
@@ -286,12 +282,9 @@ def test_job_started_by_the_first_dispatch_ends_behind_earlier_urgent_work():
     job = LocalJob(processors=4, duration=7, name="early")
     lrm.submit(job)
     seen = []
-
-    def sleeper():
-        yield env.timeout(7)
-        seen.append(cluster.idle_processors)
-
-    env.process(sleeper())
+    urgent(env, lambda: env.timeout(7).callbacks.append(
+        lambda _event: seen.append(cluster.idle_processors)
+    ))
     env.run()
 
     assert job.start_time == 0

@@ -16,8 +16,12 @@ from repro.dynaco import (
     ShrinkRequest,
     Strategy,
 )
-from repro.dynaco.execute import ImmediateExecutor
 from repro.sim import Environment
+
+
+def at(env, time, action):
+    """Run *action* in a NORMAL event at *time*."""
+    env.timeout(time - env.now).callbacks.append(lambda _event: action())
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +109,17 @@ def build_loop(env, profile=None, initial=2):
 def test_adapt_executes_grow_and_reports_result():
     env = Environment()
     app, monitor, dynaco = build_loop(env)
+    results = []
 
-    def driver(env):
-        yield env.timeout(10)
+    def grow():
         event = monitor.on_grow_message(env.now, offered=6, current_allocation=app.allocation)
-        result = yield dynaco.adapt(event, app.allocation)
-        return result
+        dynaco.adapt(event, app.allocation).callbacks.append(
+            lambda completion: results.append(completion.value)
+        )
 
-    driver_proc = env.process(driver(env))
+    at(env, 10, grow)
     env.run(app.completed)
-    result = driver_proc.value
+    [result] = results
     assert result.accepted_change == 6
     assert result.new_allocation == 8
     assert not result.declined
@@ -125,17 +130,17 @@ def test_adapt_executes_grow_and_reports_result():
 def test_adapt_is_idempotent_per_event():
     env = Environment()
     app, monitor, dynaco = build_loop(env)
+    completions = []
 
-    def driver(env):
-        yield env.timeout(5)
+    def grow():
         event = monitor.on_grow_message(env.now, offered=4, current_allocation=app.allocation)
-        first = dynaco.adapt(event, app.allocation)
-        second = dynaco.adapt(event, app.allocation)
-        assert first is second
-        yield first
+        completions.append(dynaco.adapt(event, app.allocation))
+        completions.append(dynaco.adapt(event, app.allocation))
 
-    env.process(driver(env))
+    at(env, 5, grow)
     env.run(app.completed)
+    first, second = completions
+    assert first is second
     # The monitor subscription plus two explicit calls still execute only one
     # adaptation.
     assert app.record.grow_count == 1
@@ -162,38 +167,12 @@ def test_preview_has_no_side_effects():
     assert dynaco.history == []
 
 
-def test_immediate_executor_bypasses_runtime_costs():
-    env = Environment()
-    profile = gadget2_profile()
-    app = RunningApplication(env, profile, 2, adaptation_point_interval=5.0).start()
-    dynaco = Dynaco(
-        env,
-        decision=MalleabilityDecision(2, 46),
-        planner=MalleabilityPlanner(),
-        executor=ImmediateExecutor(env, app),
-    )
-
-    def driver(env):
-        yield env.timeout(1)
-        event = GrowOffer(time=env.now, offered=10, current_allocation=app.allocation)
-        result = yield dynaco.adapt(event, app.allocation)
-        return (result.new_allocation, env.now)
-
-    driver_proc = env.process(driver(env))
-    env.run(app.completed)
-    # The immediate executor applies the change with zero simulated delay.
-    assert driver_proc.value == (12, 1.0)
-
-
 def test_monitor_driven_adaptation_without_explicit_adapt_call():
     env = Environment()
     app, monitor, dynaco = build_loop(env)
-
-    def driver(env):
-        yield env.timeout(10)
-        monitor.on_grow_message(env.now, offered=8, current_allocation=app.allocation)
-
-    env.process(driver(env))
+    at(env, 10, lambda: monitor.on_grow_message(
+        env.now, offered=8, current_allocation=app.allocation
+    ))
     env.run(app.completed)
     # The subscription alone executed the adaptation.
     assert app.record.grow_count == 1

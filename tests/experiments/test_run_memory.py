@@ -1,21 +1,24 @@
 """Every entry point that simulates frees its run when it returns.
 
-A run's object graph (environment, processes, scheduler, runners, clusters)
-is cyclic, so reference counting never frees it.  An entry point builds,
-runs and reads it under one GC pause whose closing young-generation
-collection frees it; a run that survives that collection is promoted, and
-stays until a full collection.  No test here calls ``gc.collect()``: what
-an entry point leaves behind is what the test sees.
+A run's object graph (environment, scheduler, runners, clusters) is cyclic,
+so reference counting never frees it.  An entry point builds, runs and reads
+it under one GC pause whose closing young-generation collection frees it; a
+run that survives that collection is promoted, and stays until a full
+collection.  The entry-point tests call no ``gc.collect()``: what an entry
+point leaves behind is what they see.  The last test does collect, to look
+at what a run leaves to the cyclic collector.
 """
 
 from __future__ import annotations
 
 import gc
+import inspect
 import os
 
 import pytest
 
 from repro.checkpoint import run_checkpointed, shard_bench_config, shard_replay
+from repro.cluster.gram import GramJob
 from repro.experiments.engine import _execute_record
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.setup import run_experiment
@@ -29,6 +32,29 @@ from repro.workloads.bursts import burst_workload
 def _figure7(job_count: int = 20):
     _label, config = get_scenario("figure7").expand(job_count=job_count, seed=0)[0]
     return config
+
+
+def _cyclic_garbage_of(simulate) -> list:
+    """The objects only the cyclic collector would free after *simulate*.
+
+    *simulate* runs with the collector off (so an entry point's GC pause is
+    a no-op and frees nothing), then one collection under
+    ``gc.DEBUG_SAVEALL`` keeps everything it finds unreachable.  The debug
+    flags, ``gc.garbage`` and collection are restored afterwards.
+    """
+    gc.collect()
+    flags = gc.get_debug()
+    saved = list(gc.garbage)
+    gc.disable()
+    try:
+        simulate()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+        gc.enable()
 
 
 def _live_runs() -> list:
@@ -119,3 +145,16 @@ def test_collection_is_back_on_after_a_run_that_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="metrics failed"):
         run_experiment(_figure7(job_count=5))
     assert gc.isenabled()
+
+
+def test_a_dropped_run_leaves_no_gram_job_or_generator_to_the_cyclic_collector():
+    """A simulation holds no generator frames, and a finished callback chain
+    (a stub-claim walk included) keeps nothing alive: reference counting
+    frees what a chain held as soon as it ends, even under a run's GC pause.
+    So once a run is dropped, no GRAM job is left to the cyclic collector."""
+    label, config = get_scenario("figure7").expand(job_count=60, seed=0)[0]
+    assert label == "FPSMA/Wm" and config.job_count == 60
+    garbage = _cyclic_garbage_of(lambda: run_experiment(config))
+    assert any(isinstance(obj, Environment) for obj in garbage)
+    assert not [obj for obj in garbage if isinstance(obj, GramJob)]
+    assert not [obj for obj in garbage if inspect.isgenerator(obj)]

@@ -124,11 +124,7 @@ def test_kis_snapshot_refreshes_on_poll(env, streams):
     kis = KoalaInformationService(env, system, poll_interval=10.0)
     assert kis.idle_in("a") == 16
 
-    def occupy(env, cluster):
-        yield env.timeout(5)
-        cluster.allocate(6, owner="job")
-
-    env.process(occupy(env, cluster))
+    env.timeout(5).callbacks.append(lambda _event: cluster.allocate(6, owner="job"))
     env.run(until=6)
     # The snapshot is stale until the next poll, the fresh view is not.
     assert kis.idle_in("a") == 16

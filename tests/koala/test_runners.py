@@ -52,6 +52,15 @@ def zero_cost(profile):
     return profile.with_reconfiguration(NoReconfigurationCost())
 
 
+def operate_at(env, time, operation, outcomes, read=lambda value: value):
+    """At *time*, start *operation*; append ``read(value)`` when its event fires."""
+
+    def start(_event):
+        operation().callbacks.append(lambda done: outcomes.append(read(done.value)))
+
+    env.timeout(time - env.now).callbacks.append(start)
+
+
 # ---------------------------------------------------------------------------
 # RigidRunner
 # ---------------------------------------------------------------------------
@@ -101,12 +110,14 @@ def test_rigid_runner_rejects_malleable_jobs(env, quick_system):
 # ---------------------------------------------------------------------------
 
 
-def start_malleable(env, system, profile, *, name="m-job", initial=2, callbacks=None):
+def start_malleable(
+    env, system, profile, *, name="m-job", initial=2, callbacks=None, adaptation_point_interval=0.0
+):
     callbacks = callbacks or RecordingCallbacks()
     job = Job.malleable(profile, name=name)
     job.submit_time = env.now
     runner = MalleableRunner(
-        env, job, system, callbacks, adaptation_point_interval=0.0
+        env, job, system, callbacks, adaptation_point_interval=adaptation_point_interval
     )
     outcome = runner.start("alpha", initial)
     return job, runner, outcome, callbacks
@@ -131,14 +142,10 @@ def test_malleable_runner_grow_adds_processors_and_shortens_execution(env, quick
         env, quick_system, zero_cost(gadget2_profile()), initial=2
     )
 
-    def grower(env, runner):
-        yield env.timeout(60)
-        added = yield runner.grow(8)
-        return added
-
-    grower_proc = env.process(grower(env, runner))
+    added = []
+    operate_at(env, 60, lambda: runner.grow(8), added)
     env.run(runner.completed)
-    assert grower_proc.value == 8
+    assert added == [8]
     assert runner.grow_operations == 1
     record = runner.application.record
     assert record.maximum_allocation == 10
@@ -150,14 +157,10 @@ def test_malleable_runner_grow_respects_ft_power_of_two(env, quick_system):
         env, quick_system, zero_cost(ft_profile()), initial=2, name="ft-m"
     )
 
-    def grower(env, runner):
-        yield env.timeout(20)
-        added = yield runner.grow(13)  # 2 + 13 = 15 -> FT only uses 8
-        return added
-
-    grower_proc = env.process(grower(env, runner))
+    added = []
+    operate_at(env, 20, lambda: runner.grow(13), added)  # 2 + 13 = 15 -> FT only uses 8
     env.run(runner.completed)
-    assert grower_proc.value == 6
+    assert added == [6]
     assert runner.application.record.maximum_allocation == 8
     # The stubs claimed beyond the accepted size were released voluntarily.
     assert quick_system.cluster("alpha").used_processors == 0
@@ -169,14 +172,13 @@ def test_malleable_runner_shrink_releases_processors_after_reconfiguration(env, 
     )
     cluster = quick_system.cluster("alpha")
 
-    def shrinker(env, runner):
-        yield env.timeout(60)
-        released = yield runner.shrink(5)
-        return (released, cluster.used_processors)
-
-    shrinker_proc = env.process(shrinker(env, runner))
+    outcomes = []
+    operate_at(
+        env, 60, lambda: runner.shrink(5), outcomes,
+        lambda value: (value, cluster.used_processors),
+    )
     env.run(runner.completed)
-    released, used_after = shrinker_proc.value
+    [(released, used_after)] = outcomes
     assert released == 5
     assert used_after == 3
     assert runner.shrink_operations == 1
@@ -188,15 +190,39 @@ def test_malleable_runner_shrink_never_goes_below_minimum(env, quick_system):
         env, quick_system, zero_cost(gadget2_profile()), initial=4
     )
 
-    def shrinker(env, runner):
-        yield env.timeout(30)
-        released = yield runner.shrink(100)
-        return released
-
-    shrinker_proc = env.process(shrinker(env, runner))
+    released = []
+    operate_at(env, 30, lambda: runner.shrink(100), released)
     env.run(runner.completed)
-    assert shrinker_proc.value == 2  # 4 -> 2, the minimum
+    assert released == [2]  # 4 -> 2, the minimum
     assert runner.application.record.allocation_series.values[-1] == 2
+
+
+def test_a_shrink_and_a_failure_in_one_instant_are_served_in_arrival_order(env, quick_system):
+    """Regression: a make-room shrink and a node failure hitting the same job
+    in one instant used to crash the run with ``Interrupt('reallocation')``,
+    because the second reconfiguration interrupted the application again
+    while it waited for its adaptation point.  Now the second request joins
+    the queue, and both are served in the order they arrived."""
+    job, runner, outcome, callbacks = start_malleable(
+        env, quick_system, gadget2_profile(), initial=6, adaptation_point_interval=2.0
+    )
+    outcomes = []
+
+    def both():
+        runner.shrink(2).callbacks.append(lambda done: outcomes.append(("shrink", done.value)))
+        runner.survive_failure(1).callbacks.append(
+            lambda done: outcomes.append(("survive", done.value))
+        )
+
+    env.timeout(10).callbacks.append(lambda _event: both())
+    env.run(runner.completed)
+    assert sorted(outcomes) == [("shrink", 2), ("survive", 1)]
+    record = runner.application.record
+    assert [(r.old_allocation, r.new_allocation) for r in record.reconfigurations] == [
+        (6, 4),
+        (4, 5),
+    ]
+    assert callbacks.finished == [job.name]
 
 
 def test_malleable_runner_previews_have_no_side_effects(env, quick_system):

@@ -135,13 +135,8 @@ def test_make_room_refuses_when_nothing_can_shrink(env):
 def test_pra_never_shrinks(env):
     system, scheduler = build(env, approach="PRA", offer_mode="idle", nodes=16)
     jobs = [Job.malleable(gadget2_profile(), name=f"j{i}") for i in range(4)]
-
-    def submit_all(env):
-        for job in jobs:
-            scheduler.submit(job)
-            yield env.timeout(60)
-
-    env.process(submit_all(env))
+    for index, job in enumerate(jobs):
+        env.timeout(60 * index).callbacks.append(lambda _event, job=job: scheduler.submit(job))
     env.run(until=6000)
     assert scheduler.all_done
     assert scheduler.manager.total_shrink_messages == 0

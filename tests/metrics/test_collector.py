@@ -34,14 +34,13 @@ def finished_run(env):
         streams=streams,
     )
 
-    def submit(env):
-        scheduler.submit(Job.malleable(gadget2_profile(), name="g-1"))
-        yield env.timeout(60)
-        scheduler.submit(Job.malleable(ft_profile(), name="f-1"))
-        yield env.timeout(60)
-        scheduler.submit(Job.rigid(ft_profile().as_rigid(), 2, name="r-1"))
-
-    env.process(submit(env))
+    jobs = [
+        Job.malleable(gadget2_profile(), name="g-1"),
+        Job.malleable(ft_profile(), name="f-1"),
+        Job.rigid(ft_profile().as_rigid(), 2, name="r-1"),
+    ]
+    for index, job in enumerate(jobs):
+        env.timeout(60 * index).callbacks.append(lambda _event, job=job: scheduler.submit(job))
     env.run(until=5000)
     assert scheduler.all_done
     return system, scheduler

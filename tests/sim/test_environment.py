@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+
 import pytest
 
+import repro.sim
 from repro.sim import Environment, Event, Timeout
 
 
@@ -20,15 +23,15 @@ def test_run_without_events_returns_immediately():
 
 def test_timeout_advances_clock():
     env = Environment()
+    seen = []
 
-    def proc(env):
-        yield env.timeout(10)
-        yield env.timeout(5)
-        return env.now
+    def second(_event):
+        seen.append(env.now)
+        env.timeout(5).callbacks.append(lambda _event: seen.append(env.now))
 
-    process = env.process(proc(env))
+    env.timeout(10).callbacks.append(second)
     env.run()
-    assert process.value == 15
+    assert seen == [10, 15]
     assert env.now == 15
 
 
@@ -42,12 +45,12 @@ def test_run_until_time_stops_exactly_there():
     env = Environment()
     ticks = []
 
-    def ticker(env):
-        while True:
-            yield env.timeout(1)
+    def tick(_event=None):
+        if _event is not None:
             ticks.append(env.now)
+        env.timeout(1).callbacks.append(tick)
 
-    env.process(ticker(env))
+    tick()
     env.run(until=10)
     assert env.now == 10
     assert ticks[-1] <= 10
@@ -102,19 +105,10 @@ def test_events_drain_in_time_priority_insertion_order():
     assert env.pending_entries() == []
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "pooled"])
-def test_nan_times_are_rejected_and_push_nothing(pooled):
+def test_nan_times_are_rejected_and_push_nothing():
     # ``nan < 0`` is False, and a NaN heap key never lets a run end.
     nan = float("nan")
     env = Environment()
-    if pooled:
-
-        def sleeper(env):
-            yield env.timeout(1.0)
-
-        env.process(sleeper(env))
-        env.run()
-    assert bool(env._timeout_pool) is pooled
     before = env.kernel_state()
     with pytest.raises(ValueError):
         env.timeout(nan)
@@ -150,12 +144,7 @@ def test_run_until_current_time_is_a_noop():
     """
     env = Environment(initial_time=5.0)
     fired = []
-
-    def proc(env):
-        yield env.timeout(1)
-        fired.append(env.now)
-
-    env.process(proc(env))
+    env.timeout(1).callbacks.append(lambda _event: fired.append(env.now))
     assert env.run(until=5.0) is None
     assert env.now == 5.0
     assert fired == []  # no event was processed
@@ -165,39 +154,26 @@ def test_run_until_current_time_is_a_noop():
 
 def test_run_until_event_returns_its_value():
     env = Environment()
-
-    def proc(env):
-        yield env.timeout(3)
-        return "payload"
-
-    process = env.process(proc(env))
-    assert env.run(until=process) == "payload"
+    done = env.event()
+    env.timeout(3).callbacks.append(lambda _event: done.succeed("payload"))
+    env.timeout(8)
+    assert env.run(until=done) == "payload"
     assert env.now == 3
+    assert env.peek() == 8
 
 
 def test_run_until_already_processed_event():
     env = Environment()
-
-    def proc(env):
-        yield env.timeout(1)
-        return 7
-
-    process = env.process(proc(env))
+    timeout = env.timeout(1, value=7)
     env.run()
-    assert env.run(until=process) == 7
+    assert env.run(until=timeout) == 7
 
 
 def test_events_at_same_time_processed_in_schedule_order():
     env = Environment()
     order = []
-
-    def proc(env, name):
-        yield env.timeout(5)
-        order.append(name)
-
-    env.process(proc(env, "first"))
-    env.process(proc(env, "second"))
-    env.process(proc(env, "third"))
+    for name in ("first", "second", "third"):
+        env.timeout(5).callbacks.append(lambda _event, name=name: order.append(name))
     env.run()
     assert order == ["first", "second", "third"]
 
@@ -214,63 +190,44 @@ def test_peek_on_empty_queue_is_infinite():
     assert Environment().peek() == float("inf")
 
 
-def test_unhandled_process_failure_propagates_out_of_run():
+def test_an_exception_in_a_callback_propagates_out_of_run():
     env = Environment()
 
-    def broken(env):
-        yield env.timeout(1)
+    def broken(_event):
         raise RuntimeError("boom")
 
-    env.process(broken(env))
+    env.timeout(1).callbacks.append(broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run()
+    assert env.now == 1
+
+
+def test_unhandled_event_failure_propagates_out_of_run():
+    env = Environment()
+    env.event().fail(RuntimeError("boom"))
     with pytest.raises(RuntimeError, match="boom"):
         env.run()
 
 
-def test_failure_handled_by_waiter_does_not_propagate():
+def test_failure_defused_by_a_callback_does_not_propagate():
     env = Environment()
+    caught = []
 
-    def broken(env):
-        yield env.timeout(1)
-        raise RuntimeError("boom")
+    def guard(event):
+        event.defused = True
+        caught.append(type(event.value).__name__)
 
-    def guard(env, victim):
-        try:
-            yield victim
-        except RuntimeError:
-            return "caught"
-
-    victim = env.process(broken(env))
-    guard_proc = env.process(guard(env, victim))
+    env.event().fail(RuntimeError("boom")).callbacks.append(guard)
     env.run()
-    assert guard_proc.value == "caught"
+    assert caught == ["RuntimeError"]
 
 
-def test_nested_process_waiting():
-    env = Environment()
-
-    def inner(env):
-        yield env.timeout(4)
-        return 11
-
-    def outer(env):
-        value = yield env.process(inner(env))
-        return value * 2
-
-    process = env.process(outer(env))
-    env.run()
-    assert process.value == 22
-    assert env.now == 4
-
-
-def test_active_process_visible_during_execution():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        seen.append(env.active_process)
-        yield env.timeout(1)
-
-    process = env.process(proc(env))
-    env.run()
-    assert seen == [process]
-    assert env.active_process is None
+def test_the_kernel_has_no_process_api():
+    """Every simulated activity is a callback chain: the kernel offers no
+    generator processes, interrupts or active-process bookkeeping."""
+    assert importlib.util.find_spec("repro.sim.process") is None
+    for name in ("process", "active_process"):
+        assert not hasattr(Environment, name)
+    for name in ("Process", "ProcessGenerator", "Interrupt"):
+        assert not hasattr(repro.sim, name)
+    assert not hasattr(repro.sim.events, "Initialize")

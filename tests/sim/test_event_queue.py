@@ -3,7 +3,7 @@
 Every simulated outcome rests on one rule: the environment fires its
 pending events in the total order ``(time, priority, insertion_id)`` —
 including events scheduled from inside callbacks while the queue drains,
-the way processes schedule their follow-up events.  The hypothesis
+the way callback chains schedule their follow-up events.  The hypothesis
 properties check that rule on randomized reactive schedules with
 deliberate time and priority ties against a reference model (a plain list
 searched with ``min``); the unit tests pin the edge cases: equal and
@@ -132,23 +132,13 @@ def test_scheduling_into_the_past_is_rejected():
     assert env.kernel_state() == before
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "pooled"])
-def test_timeout_at_fires_at_the_exact_float(pooled):
+def test_timeout_at_fires_at_the_exact_float():
     # now + (at - now) rounds to 7.699999999999999 for these two values.
     start, at = 1.1, 7.7
     assert start + (at - start) != at
     env = Environment()
-    if pooled:
-        # A finished plain sleep leaves its timeout in the free list.
-        def sleeper(env):
-            yield env.timeout(start)
-
-        env.process(sleeper(env))
-        env.run()
-    else:
-        env.run(until=start)
+    env.run(until=start)
     assert env.now == start
-    assert bool(env._timeout_pool) is pooled
     timeout = env.timeout_at(at, value="done")
     assert env.run(until=timeout) == "done"
     assert env.now == at

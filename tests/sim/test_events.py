@@ -1,10 +1,14 @@
-"""Unit tests of events, timeouts and interrupts."""
+"""Unit tests of events, timeouts and the two waits of a callback chain."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
+from repro.sim.events import when_all_processed, when_processed
 
 
 def test_event_lifecycle_flags():
@@ -48,105 +52,93 @@ def test_fail_requires_an_exception():
 
 def test_timeout_carries_value_and_delay():
     env = Environment()
-    timeout = env.timeout(5, value="done")
-
-    def proc(env, timeout):
-        value = yield timeout
-        return (env.now, value)
-
-    process = env.process(proc(env, timeout))
+    seen = []
+    env.timeout(5, value="done").callbacks.append(
+        lambda event: seen.append((env.now, event.value))
+    )
     env.run()
-    assert process.value == (5, "done")
+    assert seen == [(5, "done")]
 
 
-def test_interrupt_carries_cause():
+def test_when_processed_waits_on_a_pending_event_and_runs_at_once_on_a_processed_one():
     env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as interrupt:
-            return (env.now, interrupt.cause)
-
-    def interrupter(env, victim):
-        yield env.timeout(7)
-        victim.interrupt(cause={"reason": "shrink"})
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
+    seen = []
+    timeout = env.timeout(4, value=11)
+    when_processed(timeout, lambda event: seen.append(("waited", env.now, event.value)))
     env.run()
-    assert victim.value == (7, {"reason": "shrink"})
+    # The event is processed now: the link runs inside the call.
+    when_processed(timeout, lambda event: seen.append(("at once", env.now, event.value)))
+    assert seen == [("waited", 4, 11), ("at once", 4, 11)]
 
 
-def test_interrupted_process_can_keep_waiting():
+def test_when_all_processed_waits_in_list_order_and_passes_processed_events_on():
     env = Environment()
-
-    def sleeper(env):
-        interrupted_at = None
-        try:
-            yield env.timeout(100)
-        except Interrupt:
-            interrupted_at = env.now
-        yield env.timeout(10)
-        return (interrupted_at, env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(3)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
+    early = env.timeout(1, value="early")
     env.run()
-    assert victim.value == (3, 13)
-
-
-def test_cannot_interrupt_finished_process():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    process = env.process(quick(env))
+    late = env.timeout(5, value="late")
+    middle = env.timeout(2, value="middle")
+    seen = []
+    when_all_processed(
+        [late, early, middle],
+        lambda events: seen.append((env.now, [event.value for event in events])),
+    )
+    env.run(until=4)
+    # ``middle`` fired, but the walk waits on ``late`` first.
+    assert middle.processed and not late.processed
+    assert seen == []
     env.run()
-    with pytest.raises(RuntimeError):
-        process.interrupt()
+    assert seen == [(6, ["late", "early", "middle"])]
 
 
-def test_process_cannot_interrupt_itself():
+def test_when_all_processed_runs_at_once_on_an_empty_or_processed_list():
     env = Environment()
-    failures = []
-
-    def selfish(env):
-        try:
-            env.active_process.interrupt()
-        except RuntimeError as error:
-            failures.append(str(error))
-        yield env.timeout(1)
-
-    env.process(selfish(env))
+    seen = []
+    when_all_processed([], seen.append)
+    timeout = env.timeout(1)
     env.run()
-    assert len(failures) == 1
+    when_all_processed([timeout], seen.append)
+    assert seen == [[], [timeout]]
 
 
-def test_yielding_a_non_event_raises_type_error():
+def test_when_all_processed_sees_failed_events():
     env = Environment()
+    refused = env.event()
+    refused.defused = True
+    refused.fail(ValueError("refused"))
+    granted = env.timeout(2, value="granted")
+    seen = []
+    when_all_processed(
+        [refused, granted], lambda events: seen.append([event.ok for event in events])
+    )
+    env.run()
+    assert seen == [[False, True]]
 
-    def bad(env):
-        yield 42  # type: ignore[misc]
 
-    env.process(bad(env))
-    with pytest.raises(TypeError):
+def test_a_finished_walk_is_freed_by_reference_counting():
+    """Runs pause the cyclic collector, so a chain must not keep itself
+    alive: once the walk's last event is processed, the walk and what its
+    link holds go at once."""
+
+    class Payload:
+        pass
+
+    env = Environment()
+    payload = Payload()
+    held = weakref.ref(payload)
+    seen = []
+    when_all_processed(
+        [env.timeout(1), env.timeout(2)],
+        lambda events, payload=payload: seen.append(len(events)),
+    )
+    del payload
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env.run(until=1.5)
+        assert held() is not None  # the walk still waits on its second event
         env.run()
-
-
-def test_process_is_alive_and_target():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(5)
-
-    process = env.process(proc(env))
-    assert process.is_alive
-    env.run()
-    assert not process.is_alive
-    assert process.target is None
+        assert seen == [2]
+        assert held() is None
+    finally:
+        if was_enabled:
+            gc.enable()

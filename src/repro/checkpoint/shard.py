@@ -24,13 +24,9 @@ deterministically:
 
 A window's payload carries its slice of the workload's own
 :class:`~repro.workloads.spec.JobSpec` objects, and each window's run is
-freed when its replay returns (:func:`~repro.experiments.setup.frees_its_run`),
-so a worker, or an in-process replay, holds one window's run at a time.
-
-Sharding shares the native-capture support envelope
-(:func:`~repro.checkpoint.capture.native_unsupported_reason`): the
-window-equivalence argument needs runs that draw nothing from runtime random
-streams and keep no cross-window scheduler state.
+freed when its replay returns (:func:`~repro.experiments.setup.frees_its_run`).
+:func:`shard_unsupported_reason` says which configurations have
+independent windows.
 """
 
 from __future__ import annotations
@@ -41,12 +37,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.checkpoint.capture import native_unsupported_reason
 from repro.checkpoint.envelope import CheckpointUnsupported
 from repro.experiments.setup import (
     ExperimentConfig,
     SimulationRun,
     build_workload,
+    default_background,
     frees_its_run,
 )
 from repro.metrics.windowed import WindowedMetrics
@@ -58,6 +54,42 @@ from repro.workloads.spec import WorkloadSpec
 #: usually drain before the next one starts; violations are detected and
 #: repaired, not silently absorbed.
 DEFAULT_MIN_GAP = 600.0
+
+#: Placement policies whose decisions depend only on the current idle view.
+#: (EASY backfilling keeps reservations across events.)
+SHARD_PLACEMENT_POLICIES = {"WF", "CF", "CM", "FCM"}
+
+
+def shard_unsupported_reason(config: ExperimentConfig, workload: WorkloadSpec) -> Optional[str]:
+    """Why *config*'s windows cannot be replayed independently, or ``None``.
+
+    Every feature listed keeps state across a drained gap or draws from a
+    runtime random stream, so a window replayed on its own would not repeat
+    the serial run's draws.
+    """
+    if config.malleability_policy is not None:
+        return "malleable job management keeps reconfiguration state across windows"
+    if config.fault_model is not None:
+        return "fault injection draws one fault stream over the whole run"
+    if config.gram_latency_jitter != 0.0:
+        return "GRAM latency jitter draws from a random stream per submission"
+    if config.background or default_background(config.background_fraction):
+        return "background load draws from per-cluster random streams per local job"
+    base_policy = str(config.placement_policy).split("?", 1)[0].upper()
+    if base_policy not in SHARD_PLACEMENT_POLICIES:
+        return (
+            f"placement policy {config.placement_policy!r} retains state across "
+            f"events (sharding supports {sorted(SHARD_PLACEMENT_POLICIES)})"
+        )
+    for spec in workload:
+        if spec.kind.value != "rigid":
+            return f"workload contains non-rigid job kind {spec.kind.value!r}"
+        if not spec.name:
+            return (
+                "workload contains unnamed job specs (auto-generated names embed "
+                "a process-global counter, which differs in each worker)"
+            )
+    return None
 
 
 @dataclass(frozen=True)
@@ -99,32 +131,22 @@ def plan_windows(workload: WorkloadSpec, *, min_gap: float = DEFAULT_MIN_GAP) ->
     if not min_gap > 0:
         raise ValueError(f"min_gap must be > 0, got {min_gap!r}")
     jobs = workload.jobs
-    if not jobs:
-        return []
-    windows: List[ShardWindow] = []
-    start = 0
-    for index in range(1, len(jobs)):
-        if jobs[index].submit_time - jobs[index - 1].submit_time >= min_gap:
-            windows.append(
-                ShardWindow(
-                    index=len(windows),
-                    start=start,
-                    end=index,
-                    first_submit=jobs[start].submit_time,
-                    last_submit=jobs[index - 1].submit_time,
-                )
-            )
-            start = index
-    windows.append(
+    cuts = [
+        index
+        for index in range(1, len(jobs))
+        if jobs[index].submit_time - jobs[index - 1].submit_time >= min_gap
+    ]
+    bounds = zip([0] + cuts, cuts + [len(jobs)]) if jobs else ()
+    return [
         ShardWindow(
-            index=len(windows),
+            index=index,
             start=start,
-            end=len(jobs),
+            end=end,
             first_submit=jobs[start].submit_time,
-            last_submit=jobs[-1].submit_time,
+            last_submit=jobs[end - 1].submit_time,
         )
-    )
-    return windows
+        for index, (start, end) in enumerate(bounds)
+    ]
 
 
 def _usable_cpus() -> int:
@@ -181,10 +203,7 @@ def _replay_window(payload: Dict[str, Any]) -> Dict[str, Any]:
             scheduler_extra = {"kis_first_poll_at": first_poll}
 
     run = SimulationRun.fresh(
-        config,
-        workload=workload,
-        retain_jobs=False,
-        collect_windowed=True,
+        config, workload=workload, retain_jobs=False, collect_windowed=True,
         scheduler_extra=scheduler_extra,
     )
     run.run_to_completion(drain=True)
@@ -210,14 +229,14 @@ def shard_replay(
     """Replay *config*'s workload in parallel time shards, exactly.
 
     Raises :class:`CheckpointUnsupported` when the configuration falls
-    outside the shard-equivalence envelope (same envelope as native
-    checkpoints).  The result's metrics — including the per-job completion
+    outside the shard-equivalence envelope (:func:`shard_unsupported_reason`).
+    The result's metrics — including the per-job completion
     digest — equal a serial run's for every input: windows whose
     independence assumption fails are detected and re-run serially.
     """
     if workload is None:
         workload = build_workload(config, RandomStreams(seed=config.seed))
-    reason = native_unsupported_reason(config, workload)
+    reason = shard_unsupported_reason(config, workload)
     if reason is not None:
         raise CheckpointUnsupported(
             f"sharded replay is not supported for this configuration: {reason}"
@@ -225,13 +244,8 @@ def shard_replay(
     windows = plan_windows(workload, min_gap=min_gap)
     if not windows:
         return ShardReplayResult(
-            windows=[],
-            valid_windows=0,
-            fallback_from=None,
-            metrics=WindowedMetrics(),
-            events_processed=0,
-            all_done=True,
-            workers=0,
+            windows=[], valid_windows=0, fallback_from=None, metrics=WindowedMetrics(),
+            events_processed=0, all_done=True, workers=0,
         )
 
     payloads = [
@@ -257,15 +271,12 @@ def shard_replay(
             with ProcessPoolExecutor(max_workers=worker_count) as executor:
                 results = list(executor.map(_replay_window, payloads))
 
-    # Left-to-right validation: window i+1 was simulated under the assumption
-    # that everything before it had drained.  A window counts as valid only
-    # if it completed AND finished strictly before its successor's first
-    # submission; the first window failing either check — and everything
-    # after it — is re-run serially.  On a boundary violation the violating
-    # window itself is what the serial tail must start from: its jobs are
-    # the leaked state the next window's entry depends on, so it is dropped
-    # from the merged prefix and re-simulated (identically — its own entry
-    # was clean) as the head of the tail.
+    # Left-to-right validation: window i+1 was simulated assuming everything
+    # before it had drained.  A window is valid only if it completed AND
+    # finished strictly before its successor's first submission; the first
+    # window failing either check, and everything after it, is re-run
+    # serially.  A violating window's jobs are the state leaked into the
+    # next window, so the serial tail starts with that window itself.
     valid = 0
     fallback_from: Optional[int] = None
     for index, result in enumerate(results):
@@ -298,14 +309,8 @@ def shard_replay(
         results = results[:valid] + [tail_result]
 
     return ShardReplayResult(
-        windows=windows,
-        valid_windows=valid,
-        fallback_from=fallback_from,
-        metrics=merged,
-        events_processed=events,
-        all_done=all_done,
-        workers=worker_count,
-        window_results=results,
+        windows=windows, valid_windows=valid, fallback_from=fallback_from, metrics=merged,
+        events_processed=events, all_done=all_done, workers=worker_count, window_results=results,
     )
 
 
@@ -318,14 +323,7 @@ def shard_bench_config(job_count: int, seed: int = 0) -> ExperimentConfig:
     truncate it).
     """
     return ExperimentConfig(
-        name="shard-replay",
-        workload="shard-bursts",
-        job_count=int(job_count),
-        malleability_policy=None,
-        approach="PRA",
-        placement_policy="WF",
-        seed=int(seed),
-        gram_latency_jitter=0.0,
-        background_fraction=0.0,
-        time_limit=4.0e9,
+        name="shard-replay", workload="shard-bursts", job_count=int(job_count),
+        malleability_policy=None, approach="PRA", placement_policy="WF", seed=int(seed),
+        gram_latency_jitter=0.0, background_fraction=0.0, time_limit=4.0e9,
     )

@@ -25,7 +25,7 @@ same order, without a process resume per local job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -97,8 +97,8 @@ class BackgroundLoadGenerator:
         self.spec = spec
         self.rng = rng
         self.name = name or f"background@{local_rm.cluster.name}"
-        #: All local jobs generated so far.
-        self.jobs: List[LocalJob] = []
+        #: Local jobs submitted so far (the count names each job).
+        self.submitted_count = 0
         if spec.enabled:
             env.relay(self._start, URGENT)
 
@@ -119,7 +119,7 @@ class BackgroundLoadGenerator:
         if end_time is not None and self.env._now >= end_time:
             return
         job = self._draw_job()
-        self.jobs.append(job)
+        self.submitted_count += 1
         self.local_rm.submit(job)
         self._next_gap()
 
@@ -127,9 +127,4 @@ class BackgroundLoadGenerator:
         processors = int(self.rng.integers(self.spec.min_processors, self.spec.max_processors + 1))
         duration = float(self.rng.exponential(self.spec.mean_duration))
         duration = max(1.0, duration)
-        return LocalJob(processors=processors, duration=duration, name=f"{self.name}-{len(self.jobs) + 1}")
-
-    @property
-    def submitted_count(self) -> int:
-        """Number of background jobs submitted so far."""
-        return len(self.jobs)
+        return LocalJob(processors=processors, duration=duration, name=f"{self.name}-{self.submitted_count + 1}")

@@ -35,9 +35,8 @@ A jittered latency is ``latency * (1 + u)`` with ``u`` uniform on
 jitter)`` would draw it, ``low + (high - low) * random()``, without the cost
 of the numpy call: each draw takes one double from the cluster's stream, so
 the values and the stream position after every draw are numpy's.  The
-endpoint draws one value per latency and never a block ahead: a pre-drawn
-block would run the stream's state past what the simulation consumed, so a
-capture of ``bit_generator.state`` would have to carry the unused rest.
+endpoint draws one value per latency and never a block ahead, so the
+stream's position is always what the simulation consumed.
 """
 
 from __future__ import annotations
@@ -69,6 +68,9 @@ class GramSubmissionError(RuntimeError):
         self.cluster_name = cluster_name
         self.requested = requested
         self.idle = idle
+
+    def __reduce__(self):
+        return type(self), (self.cluster_name, self.requested, self.idle)
 
 
 @dataclass(eq=False)

@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
@@ -103,7 +103,9 @@ class LocalResourceManager:
         self.backfilling = backfilling
         self._queue: Deque[LocalJob] = deque()
         self._completion_events: Dict[int, Event] = {}
-        self._finished: List[LocalJob] = []
+        #: Local jobs that have completed so far.  A count, not a list: a
+        #: run (and every checkpoint of it) stays flat however long it is.
+        self.finished_count = 0
         #: Running jobs keyed by allocation id (for fault injection), each
         #: with its completion timeout (or its launch relay, until that fires).
         self._running: Dict[int, Tuple[LocalJob, Allocation, Event]] = {}
@@ -128,11 +130,6 @@ class LocalResourceManager:
     def queue_length(self) -> int:
         """Number of local jobs waiting to start."""
         return len(self._queue)
-
-    @property
-    def finished_jobs(self) -> List[LocalJob]:
-        """Local jobs that have completed, in completion order."""
-        return list(self._finished)
 
     def fail_allocation(self, allocation: Allocation) -> bool:
         """Kill the running local job holding *allocation* (a node failed).
@@ -219,7 +216,7 @@ class LocalResourceManager:
         if allocation.active:
             allocation.release()
         job.finish_time = self.env.now
-        self._finished.append(job)
+        self.finished_count += 1
         done = self._completion_events.pop(job.job_id, None)
         if done is not None and not done.triggered:
             done.succeed(job)

@@ -40,7 +40,7 @@ class Multicluster:
     gram_latency_jitter:
         Relative jitter of those latencies (``0`` makes GRAM fully
         deterministic and draws nothing from the random streams, which is
-        what the checkpoint/shard-replay machinery relies on).
+        what sharded replay relies on).
     gram_concurrency:
         Maximum simultaneous GRAM submissions per cluster (``None`` =
         unlimited); see :class:`~repro.cluster.gram.GramEndpoint`.

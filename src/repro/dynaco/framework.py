@@ -63,8 +63,9 @@ class Dynaco:
         self.history: List[AdaptationResult] = []
         #: Events whose adaptation is still being executed.
         self._in_flight: List[EnvironmentEvent] = []
-        #: Completion events keyed by the triggering environment event.
-        self._completions: dict[int, Event] = {}
+        #: ``(event, completion)`` keyed by ``id`` of the triggering
+        #: environment event (events compare by value, so they cannot be keys).
+        self._completions: dict[int, tuple] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -81,9 +82,9 @@ class Dynaco:
         """
         key = id(event)
         if key in self._completions:
-            return self._completions[key]
+            return self._completions[key][1]
         completion = self.env.event()
-        self._completions[key] = completion
+        self._completions[key] = (event, completion)
         strategy = self.decision.decide(event, current_allocation)
         plan = self.planner.plan(current_allocation, strategy)
 
@@ -121,6 +122,12 @@ class Dynaco:
     def executed_adaptations(self) -> int:
         """Number of adaptations that actually changed the allocation."""
         return sum(1 for result in self.history if not result.declined)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled events have new ids: key their completions afresh.
+        completions = state["_completions"].values()
+        state["_completions"] = {id(entry[0]): entry for entry in completions}
+        self.__dict__.update(state)
 
     # -- internals ------------------------------------------------------------
 

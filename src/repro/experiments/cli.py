@@ -687,13 +687,15 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt.add_argument(
         "--checkpoint-path",
         metavar="FILE",
-        help="write numbered checkpoint files derived from FILE "
+        help="pickle the run into numbered checkpoint files derived from FILE "
         "(FILE's stem gains -NNNN per boundary)",
     )
     ckpt.add_argument(
         "--resume",
         metavar="FILE",
-        help="restore this checkpoint file first and continue from it",
+        help="load this checkpoint file first and continue from it; loading "
+        "unpickles the file, which runs code, so load only files this "
+        "program wrote",
     )
     return parser
 
@@ -982,7 +984,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ]
         report = "\n".join(lines)
     elif args.command == "checkpointed":
-        from repro.checkpoint import CheckpointError, resume_run, run_checkpointed
+        from repro.checkpoint import CheckpointError, load_checkpoint, run_checkpointed
         from repro.experiments.scenarios import get_scenario
 
         try:
@@ -995,13 +997,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2  # pragma: no cover - parser.error raises
         _label, config = spec.expand(job_count=args.job_count, seed=args.seed)[0]
         try:
-            resumed = resume_run(args.resume) if args.resume else None
-            if resumed is not None and resumed.config.to_dict() != config.to_dict():
-                parser.error(
-                    f"checkpoint {args.resume} was captured from a different "
-                    "configuration than the selected scenario/--job-count/--seed"
-                )
-                return 2  # pragma: no cover - parser.error raises
+            resumed = load_checkpoint(args.resume, config=config) if args.resume else None
             out = run_checkpointed(
                 config,
                 checkpoint_every=args.every,
@@ -1017,7 +1013,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"  completed:      {window.jobs} jobs (all done: {out['all_done']})",
             f"  simulated time: {out['simulated_time']:.0f}s",
             f"  events:         {out['events_processed']}",
-            f"  checkpoints:    {out['checkpoints']}",
+            f"  checkpoints:    {len(out['checkpoint_paths'])}",
             f"  metrics digest: {window.digest}",
         ]
         for target in out["checkpoint_paths"]:

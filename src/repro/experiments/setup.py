@@ -418,8 +418,8 @@ def build_system(
 ) -> tuple[Multicluster, KoalaScheduler]:
     """Build the DAS-3 multicluster and a scheduler configured per *config*.
 
-    ``scheduler_extra`` feeds :attr:`SchedulerConfig.extra` — the checkpoint
-    restore path uses it to re-join the original KIS poll grid.
+    ``scheduler_extra`` feeds :attr:`SchedulerConfig.extra` — the shard
+    engine uses it to put a window's first KIS poll on the serial run's grid.
     """
     background = config.background or default_background(config.background_fraction)
     multicluster = das3_multicluster(
@@ -528,7 +528,8 @@ class SimulationRun:
     :func:`run_experiment`, the checkpoint layer and the shard engine all
     build runs through :meth:`fresh` and advance them through
     :meth:`run_to_completion`, so there is one construction order and one
-    stop rule.
+    stop rule.  A run pickles whole, which is what a checkpoint is (see
+    :mod:`repro.checkpoint.envelope`).
     """
 
     config: ExperimentConfig
@@ -555,12 +556,12 @@ class SimulationRun:
         """Build a new run.
 
         The construction order (streams, environment, workload, system,
-        injector, submitter) is load-bearing: replay-mode restore re-runs a
-        fresh instance and verifies it reaches the captured kernel state
-        bit-for-bit, which only holds if every run allocates event ids in
-        the same order.  A *tracer* is attached before the system is built,
-        so construction-time scheduling (KIS poll, background generators) is
-        traced too.
+        injector, submitter) fixes the order in which the construction-time
+        events get their ids, which the exact goldens pin through each run's
+        digest and event count.  A checkpoint does not depend on it: it
+        pickles the run as it is.  A *tracer* is attached before the system
+        is built, so construction-time scheduling (KIS poll, background
+        generators) is traced too.
         """
         streams = RandomStreams(seed=config.seed)
         env = Environment()
@@ -635,7 +636,7 @@ class SimulationRun:
         """
         env = self.env
         limit = float(self.config.time_limit)
-        # A restored run may resume past the first boundary.
+        # A loaded checkpoint may resume past the first boundary.
         boundary = max(env.now, min(limit, max(self.workload.duration, check_interval)))
         with gc_paused():
             while True:

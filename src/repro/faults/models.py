@@ -99,7 +99,9 @@ def register_fault_model(
 
     The builder receives the model parameters of a fault reference as keyword
     arguments plus the positional ``(rng, clusters)`` pair, and must validate
-    its parameters eagerly (return a generator, raise on bad input now).
+    its parameters eagerly (return an iterator, raise on bad input now).  A
+    run can be checkpointed only if the iterator pickles, which a generator
+    does not.
     """
     key = name.lower()
     if not overwrite and key in _MODELS:
@@ -132,34 +134,47 @@ def resolve_fault_model(name: str) -> FaultModelBuilder:
 # ---------------------------------------------------------------------------
 
 
-def _renewal_churn(
-    rng,
-    clusters: Mapping[str, int],
-    *,
-    uptime,
-    downtime,
-    start: float,
-) -> Iterator[FaultEvent]:
+class _RenewalChurn:
     """Merge one alternating up/down renewal process per node.
 
     Each node draws an uptime, fails, draws a downtime, recovers, and so on.
     Draw order is fully determined by the (deterministic) event order, so the
-    same rng state always produces the same stream.
+    same rng state always produces the same stream.  The laws are data,
+    ``("exp", mean)`` or ``("weibull", scale, shape)``, and the stream is an
+    iterator object rather than a generator, so a run holding it pickles.
     """
-    heap: List[Tuple[float, int, str, str]] = []
-    sequence = 0
-    for cluster, nodes in clusters.items():
-        for _ in range(int(nodes)):
-            heappush(heap, (start + uptime(rng), sequence, cluster, KIND_FAIL))
-            sequence += 1
-    while heap:
-        time, _, cluster, kind = heappop(heap)
-        yield FaultEvent(time=time, cluster=cluster, processors=1, kind=kind)
+
+    def __init__(self, rng, clusters: Mapping[str, int], *, uptime, downtime, start: float):
+        self._rng = rng
+        self._uptime = uptime
+        self._downtime = downtime
+        self._heap: List[Tuple[float, int, str, str]] = []
+        self._sequence = 0
+        for cluster, nodes in clusters.items():
+            for _ in range(int(nodes)):
+                self._push(start + self._draw(uptime), cluster, KIND_FAIL)
+
+    def _draw(self, law) -> float:
+        if law[0] == "weibull":
+            return float(law[1] * self._rng.weibull(law[2]))
+        return float(self._rng.exponential(law[1]))
+
+    def _push(self, time: float, cluster: str, kind: str) -> None:
+        heappush(self._heap, (time, self._sequence, cluster, kind))
+        self._sequence += 1
+
+    def __iter__(self) -> "_RenewalChurn":
+        return self
+
+    def __next__(self) -> FaultEvent:
+        if not self._heap:
+            raise StopIteration
+        time, _, cluster, kind = heappop(self._heap)
         if kind == KIND_FAIL:
-            heappush(heap, (time + downtime(rng), sequence, cluster, KIND_REPAIR))
+            self._push(time + self._draw(self._downtime), cluster, KIND_REPAIR)
         else:
-            heappush(heap, (time + uptime(rng), sequence, cluster, KIND_FAIL))
-        sequence += 1
+            self._push(time + self._draw(self._uptime), cluster, KIND_FAIL)
+        return FaultEvent(time=time, cluster=cluster, processors=1, kind=kind)
 
 
 def exponential_churn(
@@ -180,12 +195,8 @@ def exponential_churn(
         raise ValueError("mtbf and mttr must be positive")
     if not start >= 0:
         raise ValueError("start must be non-negative")
-    return _renewal_churn(
-        rng,
-        clusters,
-        uptime=lambda r: float(r.exponential(mtbf)),
-        downtime=lambda r: float(r.exponential(mttr)),
-        start=float(start),
+    return _RenewalChurn(
+        rng, clusters, uptime=("exp", mtbf), downtime=("exp", mttr), start=float(start)
     )
 
 
@@ -210,11 +221,11 @@ def weibull_churn(
     if not start >= 0:
         raise ValueError("start must be non-negative")
     scale = mtbf / math.gamma(1.0 + 1.0 / shape)
-    return _renewal_churn(
+    return _RenewalChurn(
         rng,
         clusters,
-        uptime=lambda r: float(scale * r.weibull(shape)),
-        downtime=lambda r: float(r.exponential(mttr)),
+        uptime=("weibull", scale, shape),
+        downtime=("exp", mttr),
         start=float(start),
     )
 
@@ -254,36 +265,43 @@ def _cluster_window_events(
         known = ", ".join(sorted(clusters))
         raise ValueError(f"unknown cluster {cluster!r}; known: {known}")
     targets = sorted(clusters) if cluster == "all" else [cluster]
-
-    def window(start: float) -> Iterator[FaultEvent]:
+    window = []
+    for offset, kind, is_graceful in ((0.0, KIND_FAIL, graceful), (duration, KIND_REPAIR, False)):
         for name in targets:
-            count = int(nodes) if nodes else int(clusters[name])
-            count = min(count, int(clusters[name]))
-            if count < 1:
-                continue
-            yield FaultEvent(
-                time=start, cluster=name, processors=count,
-                kind=KIND_FAIL, graceful=graceful,
-            )
-        for name in targets:
-            count = int(nodes) if nodes else int(clusters[name])
-            count = min(count, int(clusters[name]))
-            if count < 1:
-                continue
-            yield FaultEvent(
-                time=start + duration, cluster=name, processors=count,
-                kind=KIND_REPAIR,
-            )
+            count = min(int(nodes) if nodes else int(clusters[name]), int(clusters[name]))
+            if count >= 1:
+                window.append((offset, name, count, kind, is_graceful))
+    return _Windows(window, float(at), every)
 
-    def generate() -> Iterator[FaultEvent]:
-        begin = float(at)
-        while True:
-            yield from window(begin)
-            if every is None:
-                return
-            begin += every
 
-    return generate()
+class _Windows:
+    """The events of one outage or drain window, repeated every *every* seconds.
+
+    Each window's events are ``(offset, cluster, processors, kind,
+    graceful)`` data, so the stream pickles with the run that holds it.
+    """
+
+    def __init__(self, window, begin: float, every: Optional[float]) -> None:
+        self._window = window
+        self._begin = begin
+        self._every = every
+        self._index = 0
+
+    def __iter__(self) -> "_Windows":
+        return self
+
+    def __next__(self) -> FaultEvent:
+        if self._index == len(self._window):
+            if self._every is None or not self._window:
+                raise StopIteration
+            self._begin += self._every
+            self._index = 0
+        offset, cluster, processors, kind, graceful = self._window[self._index]
+        self._index += 1
+        return FaultEvent(
+            time=self._begin + offset, cluster=cluster, processors=processors,
+            kind=kind, graceful=graceful,
+        )
 
 
 def cluster_outage(

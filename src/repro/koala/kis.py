@@ -96,6 +96,13 @@ class KoalaInformationService:
     poll_interval:
         Seconds between PIP polls.  The scheduler and the malleability
         manager react to each poll (subscribe with :meth:`on_poll`).
+    first_poll_at:
+        Absolute time of the first poll (default ``now + poll_interval``).
+        The shard engine puts each window's first poll on the serial run's
+        poll grid with it.
+
+    A checkpoint needs nothing from the service: its pending poll timeout is
+    pickled with the rest of the run.
     """
 
     def __init__(
@@ -105,20 +112,13 @@ class KoalaInformationService:
         *,
         poll_interval: float = 15.0,
         first_poll_at: Optional[float] = None,
-        defer_polling: bool = False,
     ) -> None:
         if not poll_interval > 0:
             raise ValueError(f"poll_interval must be positive, got {poll_interval!r}")
         self.env = env
         self.multicluster = multicluster
         self.poll_interval = float(poll_interval)
-        # Restore support: a checkpoint records the absolute time of the
-        # next pending poll, and the restored service must re-join the
-        # original poll grid exactly (``first_poll_at``), not start a new
-        # grid at ``now + poll_interval``.
         self._first_poll_at = None if first_poll_at is None else float(first_poll_at)
-        #: Absolute time of the next scheduled poll (checkpoint capture).
-        self.next_poll_time = env.now + self.poll_interval
         self.pip = ProcessorInformationProvider(multicluster)
         self.nip = NetworkInformationProvider(multicluster)
         self.rls = ReplicaLocationService(multicluster)
@@ -127,21 +127,13 @@ class KoalaInformationService:
         #: Immutable snapshot of the subscriber list, rebuilt on ``on_poll``;
         #: the poll loop iterates it without a defensive per-poll copy.
         self._subscriber_snapshot: tuple = ()
-        #: Whether the poll loop has been started.
-        self._polling = False
-        # ``defer_polling`` lets checkpoint restore start the poll loop at a
-        # chosen point of the reconstruction, so the poll timeout's event id
-        # falls into the same relative slot it held in the original run.
-        if not defer_polling:
-            self.start_polling()
+        self._start()
 
     # -- polling --------------------------------------------------------------
 
-    def start_polling(self) -> None:
-        """Start the deferred poll loop (no-op when already running)."""
-        if not self._polling:
-            self._polling = True
-            self.env.relay(self._first_poll, URGENT)
+    def _start(self) -> None:
+        """Start the chain: an URGENT relay to its first link."""
+        self.env.relay(self._first_poll, URGENT)
 
     def on_poll(self, callback: Callable[[KisSnapshot], None]) -> None:
         """Register *callback* to be invoked after every PIP poll."""
@@ -167,7 +159,6 @@ class KoalaInformationService:
         self._arm_poll(self.env.now + self.poll_interval)
 
     def _arm_poll(self, at: float) -> None:
-        self.next_poll_time = at
         self.env.timeout_at(at).callbacks.append(self._poll_link)
 
     # -- queries ---------------------------------------------------------------

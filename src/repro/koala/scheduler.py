@@ -183,10 +183,9 @@ class KoalaScheduler:
             env,
             multicluster,
             poll_interval=self.config.poll_interval,
-            # Checkpoint restore passes the absolute time of the next poll so
-            # a resumed run re-joins the original poll grid exactly.
+            # The shard engine passes the absolute time of a window's first
+            # poll, so the window polls on the serial run's grid.
             first_poll_at=self.config.extra.get("kis_first_poll_at"),
-            defer_polling=bool(self.config.extra.get("kis_defer_polling", False)),
         )
         self.ledger = ClaimLedger()
         #: Struct-of-arrays state of the multicluster; the ledger mirrors its

@@ -81,46 +81,44 @@ def _execute_checkpointed(
     """Worker entry point of the ``checkpointed`` operation.
 
     Runs one configuration through
-    :func:`repro.checkpoint.runner.run_checkpointed`, persisting a
-    checkpoint under *directory* every *every* simulated seconds (native or
-    replay, as the configuration allows).  If the
-    directory already holds checkpoints — a previous attempt died mid-run —
-    the run resumes from the most advanced restorable one instead of
-    starting over; on completion the checkpoints are deleted.  Returns a
-    JSON-shaped windowed summary (streaming metrics, no per-job arrays).
-    The restore happens inside this function's GC pause, so a resumed run
-    is freed on return like a fresh one (see
-    :func:`~repro.experiments.setup.frees_its_run`).
+    :func:`repro.checkpoint.runner.run_checkpointed`, pickling the run into
+    a checkpoint under *directory* every *every* simulated seconds.  If the
+    directory already holds checkpoints (a previous attempt died mid-run),
+    the run resumes from the most advanced one that loads instead of
+    starting over: the headers pick it, so only that file is unpickled.  A
+    refused file is logged with its reason on the ``service`` logger.  On
+    completion the checkpoints are deleted.  Returns a JSON-shaped windowed
+    summary (streaming metrics, no per-job arrays).  The load happens inside
+    this function's GC pause, so a resumed run is freed on return like a
+    fresh one (see :func:`~repro.experiments.setup.frees_its_run`).
     """
-    from repro.checkpoint.restore import restore_run
-    from repro.checkpoint.envelope import load_checkpoint
+    from repro.checkpoint.envelope import CheckpointError, load_checkpoint, read_header
     from repro.checkpoint.runner import run_checkpointed
 
     config = ExperimentConfig.from_dict(config_data)
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
-    best: Optional[Tuple[float, Dict[str, Any]]] = None
-    for candidate in target.glob("state-*.json"):
+    leftovers: List[Tuple[float, Path]] = []
+    for candidate in target.glob("state-*.ckpt"):
         try:
-            data = load_checkpoint(candidate)
-            at = float.fromhex(data["time"])
-        except Exception:
-            continue
-        if best is None or at > best[0]:
-            best = (at, data)
+            leftovers.append((float.fromhex(read_header(candidate)["time"]), candidate))
+        except (CheckpointError, OSError) as error:
+            _log.warning("not resuming from %s: %s", candidate, error)
     run = None
     resumed_at: Optional[float] = None
-    if best is not None:
+    for at, candidate in sorted(leftovers, reverse=True):
         try:
-            run = restore_run(best[1])
-            resumed_at = best[0]
-        except Exception:
-            run = None
+            run = load_checkpoint(candidate, config=config)
+        except (CheckpointError, OSError) as error:
+            _log.warning("not resuming from %s: %s", candidate, error)
+            continue
+        resumed_at = at
+        break
     out = run_checkpointed(
-        config, checkpoint_every=float(every), path=target / "state.json", run=run
+        config, checkpoint_every=float(every), path=target / "state.ckpt", run=run
     )
     if out["all_done"]:
-        for old in target.glob("state-*.json"):
+        for old in target.glob("state-*.ckpt"):
             try:
                 old.unlink()
             except OSError:
@@ -133,7 +131,7 @@ def _execute_checkpointed(
         "all_done": bool(out["all_done"]),
         "simulated_time": float(out["simulated_time"]),
         "events_processed": int(out["events_processed"]),
-        "checkpoints": int(out["checkpoints"]),
+        "checkpoints": len(out["checkpoint_paths"]),
         "resumed_at": resumed_at,
     }
 

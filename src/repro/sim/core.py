@@ -134,10 +134,8 @@ class Environment:
     def schedule_at(self, event: Event, at: float, priority: int = NORMAL) -> None:
         """Schedule *event* for processing at the absolute time *at*.
 
-        The restore path's scheduling primitive: a checkpoint records
-        absolute event times, and ``now + (at - now)`` does not round-trip
-        in IEEE floating point, so rehydrated events must be pushed at *at*
-        itself to land back on the exact original drain order.
+        ``now + (at - now)`` does not round-trip in IEEE floating point, so
+        work recorded at an absolute time is pushed at *at* itself.
         """
         if not at >= self._now:
             raise ValueError(
@@ -151,8 +149,8 @@ class Environment:
 
         The absolute-time counterpart of :meth:`timeout`.  Used where a
         time was recorded absolutely (workload submit times, the KIS poll
-        grid, checkpointed completions): such work must happen at that exact
-        float, not at ``now + delta``.
+        grid): such work must happen at that exact float, not at
+        ``now + delta``.
         """
         if not at >= self._now:
             raise ValueError(
@@ -179,17 +177,17 @@ class Environment:
     def pending_entries(self):
         """Sorted snapshot of every pending ``(time, priority, id, event)``.
 
-        Checkpoint introspection: the drain order the simulation would
-        continue with.  A snapshot — mutating the returned list does not
-        touch the heap.
+        The drain order the simulation would continue with, for tests and
+        inspection (checkpoints no longer read it: they pickle the run).  A
+        snapshot — mutating the returned list does not touch the heap.
         """
         return sorted(self._heap)
 
     def kernel_state(self) -> dict:
         """JSON-able fingerprint of the kernel: clock, counters, heap size.
 
-        Captured into checkpoint envelopes so a restore can verify it
-        re-created (or re-reached) exactly the state that was saved.
+        For tests and inspection; checkpoints no longer read it (they pickle
+        the run).
         """
         return {
             "now": self._now,

@@ -28,6 +28,11 @@ class _Pending:
 
     __slots__ = ()
 
+    def __reduce__(self) -> str:
+        # Pickled by name, so an unpickled event still compares its value
+        # against the one sentinel by identity.
+        return "PENDING"
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "<PENDING>"
 

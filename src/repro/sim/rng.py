@@ -75,30 +75,6 @@ class RandomStreams:
     def __len__(self) -> int:
         return len(self._streams)
 
-    def lane_states(self) -> Dict[str, dict]:
-        """JSON-able state of every *instantiated* lane, keyed by name.
-
-        The checkpoint layer's capture hook: a lane's
-        ``Generator.bit_generator.state`` is a plain dict of ints/strings,
-        so the whole mapping serialises losslessly.  Lanes that were never
-        drawn from are absent — re-deriving them from the root seed on
-        demand is already deterministic.
-        """
-        return {
-            name: _jsonable_state(generator.bit_generator.state)
-            for name, generator in sorted(self._streams.items())
-        }
-
-    def restore_lane_states(self, states: Dict[str, dict]) -> None:
-        """Restore lanes captured by :meth:`lane_states`.
-
-        Each named lane is (re-)instantiated from the root seed and then
-        fast-forwarded to its captured state, so subsequent draws continue
-        exactly where the checkpointed run left off.
-        """
-        for name, state in states.items():
-            self[name].bit_generator.state = state
-
     def spawn(self, label: str, index: int) -> "RandomStreams":
         """Derive a child collection (e.g. one per repetition of an experiment).
 
@@ -118,18 +94,3 @@ class RandomStreams:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RandomStreams(seed={self._seed!r}, streams={sorted(self._streams)})"
 
-
-def _jsonable_state(state: object) -> object:
-    """Recursively convert a bit-generator state dict to JSON-able types.
-
-    PCG64 states carry 128-bit Python ints (JSON-safe) and plain strings;
-    other bit generators may nest numpy scalars or arrays, which are folded
-    to ints and lists so every supported generator round-trips.
-    """
-    if isinstance(state, dict):
-        return {key: _jsonable_state(value) for key, value in state.items()}
-    if isinstance(state, np.ndarray):
-        return [int(value) for value in state.tolist()]
-    if isinstance(state, np.integer):
-        return int(state)
-    return state

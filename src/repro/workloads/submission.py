@@ -9,10 +9,7 @@ them with their execution records afterwards.
 Submission happens at each spec's *absolute* submit time
 (:meth:`~repro.sim.core.Environment.timeout_at`), not after a relative
 delay: relative delays accumulate float rounding, whereas absolute times
-make the realised submission instants a pure function of the workload —
-which is what lets a run restored from a checkpoint (a submitter created
-mid-workload via ``start_index``) land every remaining submission on
-exactly the instants of the uninterrupted run.
+make the realised submission instants a pure function of the workload.
 
 The submitter is a callback chain, not a process: an URGENT relay where the
 process's ``Initialize`` stood, then one timeout per submission instant.
@@ -20,7 +17,6 @@ process's ``Initialize`` stood, then one timeout per submission instant.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Dict, Iterator, List, Optional
 
 from repro.apps.profiles import ProfileRegistry, default_registry
@@ -42,15 +38,17 @@ class WorkloadSubmitter:
         The workload specification to replay.
     registry:
         Application-profile registry used to materialise job specs.
-    start_index:
-        Index of the first spec to submit.  A checkpoint records the
-        submitter's :attr:`cursor`; the restored run skips everything
-        already submitted before the checkpoint.
     retain_jobs:
         Whether to keep every submitted :class:`Job` (and its spec) in
         :attr:`jobs` / :attr:`spec_of`.  Long streaming runs disable this —
         at half a million jobs the retained objects dominate the resident
         set — and rely on streaming metric collection instead.
+
+    The submitter walks the workload with ``iter(workload)``.  For a
+    :class:`~repro.workloads.spec.WorkloadSpec` that is a plain list
+    iterator, which pickles as a reference to the job list plus an index: a
+    checkpoint holds the workload by reference (see :mod:`repro.checkpoint`),
+    and the loaded run goes on from the next spec.
     """
 
     def __init__(
@@ -60,16 +58,12 @@ class WorkloadSubmitter:
         workload: WorkloadSpec,
         *,
         registry: Optional[ProfileRegistry] = None,
-        start_index: int = 0,
         retain_jobs: bool = True,
     ) -> None:
-        if start_index < 0:
-            raise ValueError("start_index must be non-negative")
         self.env = env
         self.scheduler = scheduler
         self.workload = workload
         self.registry = registry or default_registry()
-        self.start_index = int(start_index)
         self.retain_jobs = bool(retain_jobs)
         #: Jobs submitted so far, in submission order (empty when
         #: ``retain_jobs`` is off).
@@ -89,11 +83,6 @@ class WorkloadSubmitter:
         """Number of jobs submitted by this submitter."""
         return self._submitted
 
-    @property
-    def cursor(self) -> int:
-        """Workload index of the next spec to submit (checkpoint capture)."""
-        return self.start_index + self._submitted
-
     def _start(self) -> None:
         """Start the chain: an URGENT relay to its first link."""
         self.env.relay(self._submit_link, URGENT)
@@ -101,7 +90,7 @@ class WorkloadSubmitter:
     def _submit_link(self, _event: Event) -> None:
         """Submit the waiting spec, then each due one; arm the next's timeout."""
         if self._specs is None:
-            self._specs = islice(iter(self.workload), self.start_index, None)
+            self._specs = iter(self.workload)
         else:
             spec, self._waiting = self._waiting, None
             self._submit(spec)
@@ -113,7 +102,7 @@ class WorkloadSubmitter:
                 return
             self._submit(spec)
         if not self.all_submitted.triggered:
-            self.all_submitted.succeed(self.cursor)
+            self.all_submitted.succeed(self._submitted)
 
     def _submit(self, spec: JobSpec) -> None:
         job = spec.build_job(self.registry)

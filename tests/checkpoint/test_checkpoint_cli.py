@@ -15,7 +15,7 @@ def test_parser_knows_the_new_commands():
     )
     assert args.command == "checkpointed"
     assert args.every == 600.0
-    # The capture mode follows the configuration; there is nothing to choose.
+    # A checkpoint is the pickled run; there is no capture mode to choose.
     with pytest.raises(SystemExit):
         parser.parse_args(["checkpointed", "figure7", "--mode", "native"])
     # Checkpoints persist as numbered files (--checkpoint-path), the form
@@ -47,16 +47,19 @@ def test_checkpointed_rejects_a_nan_interval(capsys):
     assert "checkpoint_every must be > 0" in capsys.readouterr().err
 
 
-def test_checkpointed_defaults_to_replay_outside_native_envelope(capsys):
-    # figure7 is malleable — native capture is impossible, so the run must
-    # fall back to replay instead of erroring out.
-    assert main(["checkpointed", "--scenario", "figure7", "--job-count", "10"]) == 0
+def test_checkpointed_runs_a_malleable_scenario(tmp_path, capsys):
+    argv = ["checkpointed", "--scenario", "figure7", "--job-count", "10", "--every", "300"]
+    assert main(argv + ["--checkpoint-path", str(tmp_path / "run.ckpt")]) == 0
     output = capsys.readouterr().out
     assert "all done: True" in output
+    digest = output.split("metrics digest:")[1].split()[0]
+    first = sorted(tmp_path.glob("run-*.ckpt"))[0]
+    assert main(argv + ["--resume", str(first)]) == 0
+    assert f"metrics digest: {digest}" in capsys.readouterr().out
 
 
 def test_checkpointed_command_writes_and_resumes(tmp_path, capsys):
-    target = tmp_path / "run.json"
+    target = tmp_path / "run.ckpt"
     argv = [
         "checkpointed",
         "--scenario",
@@ -74,7 +77,7 @@ def test_checkpointed_command_writes_and_resumes(tmp_path, capsys):
     digest = next(
         line.split()[-1] for line in first.splitlines() if "metrics digest" in line
     )
-    written = sorted(tmp_path.glob("run-*.json"))
+    written = sorted(tmp_path.glob("run-*.ckpt"))
     assert written
 
     resume_argv = [
@@ -93,7 +96,7 @@ def test_checkpointed_command_writes_and_resumes(tmp_path, capsys):
 
 
 def test_checkpointed_rejects_mismatched_resume(tmp_path, capsys):
-    target = tmp_path / "run.json"
+    target = tmp_path / "run.ckpt"
     assert (
         main(
             [
@@ -111,7 +114,7 @@ def test_checkpointed_rejects_mismatched_resume(tmp_path, capsys):
         == 0
     )
     capsys.readouterr()
-    written = sorted(tmp_path.glob("run-*.json"))
+    written = sorted(tmp_path.glob("run-*.ckpt"))
     with pytest.raises(SystemExit):
         main(
             [

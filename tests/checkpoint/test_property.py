@@ -1,57 +1,49 @@
-"""Property: checkpoint at a random time + restore == straight-through.
+"""Property: pickle a run at any instant, load it, and it ends as the run does.
 
-The invariant, stated over the paper's central sweep (``figure7``,
-malleable jobs under FPSMA) and the churn-replay combination (trace-driven
-submissions under node churn) — both outside the native envelope, so the
-captures run in replay mode.
-
-For every drawn capture instant the restored run must finish with the same
-per-job completion digest and the same kernel event count as the original,
-whatever phase the simulation was in when the checkpoint hit.
+Drawn over the swept configurations (malleable, background-loaded, EASY,
+jittered and fault-injected ones included) and over instants: a fraction of
+the submission horizon, optionally the exact time of the next pending event
+(the clock on an event's instant with that event still pending), then a few
+single events, so the pickle may split an instant.  The loaded run must end
+with the straight run's full metrics digest and kernel event count.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.checkpoint import (
-    SimulationRun,
-    advance_to_safe_point,
-    capture_state,
-    restore_run,
-    step_until,
+from repro.checkpoint import SimulationRun, load_checkpoint, save_checkpoint
+
+from _checkpoint_runs import configurations, digest, fire_one
+
+CONFIGURATIONS = configurations(12)
+FAULTED = [index for index, (_id, config) in enumerate(CONFIGURATIONS) if config.fault_model]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    index=st.one_of(
+        st.integers(min_value=0, max_value=len(CONFIGURATIONS) - 1), st.sampled_from(FAULTED)
+    ),
+    fraction=st.floats(min_value=0.0, max_value=1.2, allow_nan=False),
+    on_event=st.booleans(),
+    events=st.integers(min_value=0, max_value=40),
 )
-from repro.experiments.scenarios import get_scenario
+def test_a_pickled_run_resumes_exactly(tmp_path_factory, index, fraction, on_event, events):
+    _id, config = CONFIGURATIONS[index]
+    run = SimulationRun.fresh(config)
+    env = run.env
+    env.run(until=fraction * run.workload.duration)
+    if on_event:
+        env.run(until=env.peek())
+    for _ in range(events):
+        fire_one(env)
+    path = tmp_path_factory.mktemp("ckpt") / "run.ckpt"
+    save_checkpoint(run, path)
+    run.run_to_completion()
 
-SCENARIOS = ("figure7", "churn-replay")
-
-
-def _roundtrip(scenario: str, fraction: float) -> None:
-    _label, config = get_scenario(scenario).expand(job_count=10)[0]
-    run = SimulationRun.fresh(config, retain_jobs=False, collect_windowed=True)
-    at = fraction * 4000.0
-    step_until(run.env, at)
-    advance_to_safe_point(run)
-    envelope = capture_state(run, mode="replay")
-    run.run_to_completion(drain=True)
-    assert run.done
-
-    restored = restore_run(envelope)
-    restored.run_to_completion(drain=True)
-    assert restored.done
-    assert restored.collector.window.digest == run.collector.window.digest
-    assert restored.collector.window.jobs == run.collector.window.jobs
-    assert restored.env.processed_events == run.env.processed_events
-    assert restored.env.now == run.env.now
-
-
-@pytest.mark.parametrize("scenario", SCENARIOS)
-@settings(
-    max_examples=5,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(fraction=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-def test_checkpoint_restore_byte_identical(scenario, fraction):
-    _roundtrip(scenario, fraction)
+    resumed = load_checkpoint(path)
+    resumed.run_to_completion()
+    assert resumed.env.now == run.env.now
+    assert resumed.env.processed_events == run.env.processed_events
+    assert digest(resumed) == digest(run)

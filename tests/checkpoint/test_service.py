@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import logging
 import os
+from pathlib import Path
 
 import pytest
 
@@ -31,13 +34,13 @@ def _config_fields() -> dict:
 
 
 def _figure7_fields() -> dict:
-    """A paper configuration: malleable, so its checkpoints are replay mode."""
+    """A paper configuration: malleable jobs under background load."""
     _label, config = get_scenario("figure7").expand(job_count=60)[0]
     return config.to_dict()
 
 
-#: ``(config fields, checkpoint interval)``: a native-capture config and a
-#: paper configuration outside the native envelope.
+#: ``(config fields, checkpoint interval)``: the sharded-replay config and a
+#: paper configuration.
 CASES = {
     "shard-replay": (_config_fields, 200.0),
     "figure7": (_figure7_fields, 600.0),
@@ -79,7 +82,7 @@ def test_checkpointed_op_runs_and_matches_serial(tmp_path, case):
     assert response["resumed_at"] is None
     assert response["digest"] == _serial_digest(fields)
     # Completed runs leave no checkpoints behind.
-    leftovers = list((tmp_path / "checkpoints").rglob("state-*.json"))
+    leftovers = list((tmp_path / "checkpoints").rglob("state-*.ckpt"))
     assert leftovers == []
 
 
@@ -110,27 +113,36 @@ def test_checkpointed_op_rejects_bad_config(tmp_path):
     assert response["error"]["code"] == "bad_config"
 
 
+def _leftovers(config: dict, every: float, directory) -> list:
+    """What a worker that died mid-run leaves behind: its checkpoint files.
+
+    The same config is run standalone, writing checkpoint files under the
+    worker's names into its directory; ``run_checkpointed`` leaves them all
+    (only the worker deletes them once its run completes).
+    """
+    from repro.checkpoint import run_checkpointed
+
+    out = run_checkpointed(
+        ExperimentConfig.from_dict(config),
+        checkpoint_every=every,
+        path=directory / "state.ckpt",
+    )
+    assert out["all_done"] and out["checkpoint_paths"]
+    return out["checkpoint_paths"]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_worker_resumes_from_leftover_checkpoint(tmp_path, case):
     """A repeat request after a mid-run crash resumes, not restarts."""
-    from repro.checkpoint import load_checkpoint, run_checkpointed
+    from repro.checkpoint import read_header
 
     make_fields, every = CASES[case]
     config = make_fields()
     directory = tmp_path / "ck"
-
-    # Recreate what a crashed worker leaves behind: run the same config
-    # standalone with checkpoint files in the worker's directory, completed
-    # runs delete them — so copy the files out first and put one back.
-    out = run_checkpointed(
-        ExperimentConfig.from_dict(config),
-        checkpoint_every=every,
-        path=directory / "state.json",
-    )
-    assert out["all_done"] and out["checkpoint_paths"]
-    survivor = out["checkpoint_paths"][-1]
-    survivor_time = float.fromhex(load_checkpoint(survivor)["time"])
-    for path in out["checkpoint_paths"][:-1]:
+    paths = _leftovers(config, every, directory)
+    survivor = paths[-1]
+    survivor_time = float.fromhex(read_header(survivor)["time"])
+    for path in paths[:-1]:
         os.unlink(path)
 
     resumed = _execute_checkpointed(config, every, str(directory))
@@ -138,4 +150,37 @@ def test_worker_resumes_from_leftover_checkpoint(tmp_path, case):
     assert resumed["resumed_at"] == survivor_time
     assert resumed["digest"] == _serial_digest(config)
     # ... and this completed run cleaned the directory up again.
-    assert list(directory.glob("state-*.json")) == []
+    assert list(directory.glob("state-*.ckpt")) == []
+
+
+def test_a_leftover_written_by_other_code_is_skipped_and_logged(tmp_path):
+    """A checkpoint whose header carries another sources fingerprint is not
+    unpickled: the worker says why and starts over, to the straight digest."""
+    from repro.checkpoint import read_header
+
+    config = _figure7_fields()
+    directory = tmp_path / "ck"
+    paths = _leftovers(config, 600.0, directory)
+    for path in paths[1:]:
+        os.unlink(path)
+    path = Path(paths[0])
+    _line, blob = path.read_bytes().split(b"\n", 1)
+    header = dict(read_header(path), sources="0" * 64)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("repro.service")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        resumed = _execute_checkpointed(config, 600.0, str(directory))
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert resumed["resumed_at"] is None
+    assert resumed["digest"] == _serial_digest(config)
+    (record,) = records
+    assert str(path) in record.getMessage() and "other code" in record.getMessage()

@@ -12,6 +12,7 @@ from repro.checkpoint import (
     plan_windows,
     shard_bench_config,
     shard_replay,
+    shard_unsupported_reason,
 )
 from repro.experiments.scenarios import get_scenario
 from repro.workloads.bursts import burst_workload
@@ -134,6 +135,23 @@ def test_unsupported_config_refused():
     )
     with pytest.raises(CheckpointUnsupported):
         shard_replay(config)
+
+
+@pytest.mark.parametrize(
+    "overrides, reason",
+    [
+        ({}, None),
+        ({"malleability_policy": "EGS"}, "malleable"),
+        ({"fault_model": "fault:exp?mtbf=3600"}, "fault"),
+        ({"gram_latency_jitter": 0.2}, "jitter"),
+        ({"background_fraction": 0.3}, "background"),
+        ({"placement_policy": "EASY"}, "retains state"),
+    ],
+)
+def test_windows_are_independent_only_without_cross_window_state(overrides, reason):
+    config = shard_bench_config(50, seed=0).with_overrides(**overrides)
+    found = shard_unsupported_reason(config, burst_workload(50))
+    assert found is None if reason is None else reason in found
 
 
 # -- the bursty workload -----------------------------------------------------

@@ -16,7 +16,9 @@ each cluster's background load a generator process.  The class bodies are
 kept unchanged, except that the kernel no longer has a counted resource or
 composite events: :class:`Resource` and :func:`any_of` below are copies of
 the parts of them these classes use, and ``wakeup | released`` is spelled
-``any_of(env, [wakeup, released])``.
+``any_of(env, [wakeup, released])``.  Like the shipped classes, the local
+manager and the background generator count their jobs instead of keeping
+them.
 
 :class:`KoalaInformationService`, :class:`WorkloadSubmitter` and
 :class:`FaultInjector` subclass the shipped classes and start the poll loop,
@@ -46,7 +48,6 @@ checked against this drain order.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Any, Deque, Dict, Generator, List, Optional, Sequence
 
 import numpy as np
@@ -455,7 +456,7 @@ class LocalResourceManager:
         self.backfilling = backfilling
         self._queue: Deque[LocalJob] = deque()
         self._completion_events: Dict[int, Event] = {}
-        self._finished: List[LocalJob] = []
+        self.finished_count = 0
         #: Running jobs keyed by allocation id (for fault injection).
         self._running: Dict[int, "tuple[LocalJob, Allocation, Process]"] = {}
         self._wakeup: Optional[Event] = None
@@ -476,11 +477,6 @@ class LocalResourceManager:
     def queue_length(self) -> int:
         """Number of local jobs waiting to start."""
         return len(self._queue)
-
-    @property
-    def finished_jobs(self) -> List[LocalJob]:
-        """Local jobs that have completed, in completion order."""
-        return list(self._finished)
 
     def fail_allocation(self, allocation: Allocation) -> bool:
         """Kill the running local job holding *allocation* (a node failed).
@@ -555,7 +551,7 @@ class LocalResourceManager:
         if allocation.active:
             allocation.release()
         job.finish_time = self.env.now
-        self._finished.append(job)
+        self.finished_count += 1
         done = self._completion_events.pop(job.job_id, None)
         if done is not None and not done.triggered:
             done.succeed(job)
@@ -578,8 +574,7 @@ class BackgroundLoadGenerator:
         self.spec = spec
         self.rng = rng
         self.name = name or f"background@{local_rm.cluster.name}"
-        #: All local jobs generated so far.
-        self.jobs: List[LocalJob] = []
+        self.submitted_count = 0
         if spec.enabled:
             Process(env, self._generate())
 
@@ -593,37 +588,28 @@ class BackgroundLoadGenerator:
             if spec.end_time is not None and self.env.now >= spec.end_time:
                 break
             job = self._draw_job()
-            self.jobs.append(job)
+            self.submitted_count += 1
             self.local_rm.submit(job)
 
     def _draw_job(self) -> LocalJob:
         processors = int(self.rng.integers(self.spec.min_processors, self.spec.max_processors + 1))
         duration = float(self.rng.exponential(self.spec.mean_duration))
         duration = max(1.0, duration)
-        return LocalJob(processors=processors, duration=duration, name=f"{self.name}-{len(self.jobs) + 1}")
-
-    @property
-    def submitted_count(self) -> int:
-        """Number of background jobs submitted so far."""
-        return len(self.jobs)
+        return LocalJob(processors=processors, duration=duration, name=f"{self.name}-{self.submitted_count + 1}")
 
 
 class KoalaInformationService(kis_module.KoalaInformationService):
     """The KIS with its poll loop as a generator process."""
 
-    def start_polling(self) -> None:
-        if not self._polling:
-            self._polling = True
-            Process(self.env, self._poll_loop())
+    def _start(self) -> None:
+        Process(self.env, self._poll_loop())
 
     def _poll_loop(self):
         first = self._first_poll_at
         if first is not None:
-            self.next_poll_time = first
             yield self.env.timeout_at(first)
             self.poll_now()
         while True:
-            self.next_poll_time = self.env.now + self.poll_interval
             yield self.env.timeout(self.poll_interval)
             self.poll_now()
 
@@ -635,7 +621,7 @@ class WorkloadSubmitter(submission_module.WorkloadSubmitter):
         Process(self.env, self._submit_loop())
 
     def _submit_loop(self):
-        for spec in islice(iter(self.workload), self.start_index, None):
+        for spec in self.workload:
             if spec.submit_time > self.env.now:
                 yield self.env.timeout_at(spec.submit_time)
             job = spec.build_job(self.registry)
@@ -645,7 +631,7 @@ class WorkloadSubmitter(submission_module.WorkloadSubmitter):
                 self.spec_of[job.job_id] = spec
             self.scheduler.submit(job)
         if not self.all_submitted.triggered:
-            self.all_submitted.succeed(self.cursor)
+            self.all_submitted.succeed(self._submitted)
 
 
 class FaultInjector(injector_module.FaultInjector):
@@ -830,9 +816,9 @@ class Dynaco(framework_module.Dynaco):
     def adapt(self, event: EnvironmentEvent, current_allocation: int) -> Event:
         key = id(event)
         if key in self._completions:
-            return self._completions[key]
+            return self._completions[key][1]
         completion = self.env.event()
-        self._completions[key] = completion
+        self._completions[key] = (event, completion)
         strategy = self.decision.decide(event, current_allocation)
         plan = self.planner.plan(current_allocation, strategy)
 

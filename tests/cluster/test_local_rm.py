@@ -13,6 +13,19 @@ def build(env, nodes=8, backfilling=False):
     return cluster, LocalResourceManager(env, cluster, backfilling=backfilling)
 
 
+def recording(lrm):
+    """The list of every job *lrm* is given from now on (the manager and the
+    background generators keep counts, not jobs)."""
+    jobs = []
+
+    def record(job, submit=lrm.submit):
+        jobs.append(job)
+        return submit(job)
+
+    lrm.submit = record
+    return jobs
+
+
 def test_local_job_validation():
     with pytest.raises(ValueError):
         LocalJob(processors=0, duration=10)
@@ -28,8 +41,8 @@ def test_fcfs_jobs_run_in_submission_order(env):
     env.run()
     starts = [job.start_time for job in jobs]
     assert starts == [0, 10, 20]
-    assert all(job.finished for job in jobs)
-    assert [j.name for j in lrm.finished_jobs] == ["j0", "j1", "j2"]
+    assert [job.finish_time for job in jobs] == [10, 20, 30]
+    assert lrm.finished_count == 3
 
 
 def test_head_of_queue_blocks_without_backfilling(env):
@@ -99,11 +112,13 @@ def test_background_generator_submits_jobs_with_sizes_in_range(env):
     spec = BackgroundLoadSpec(
         mean_interarrival=30.0, mean_duration=100.0, min_processors=2, max_processors=6
     )
+    jobs = recording(lrm)
     generator = BackgroundLoadGenerator(env, lrm, spec, RandomStreams(5)["bg"], name="bg")
     env.run(until=3000)
-    assert generator.submitted_count > 10
-    assert all(2 <= job.processors <= 6 for job in generator.jobs)
-    assert all(job.duration >= 1.0 for job in generator.jobs)
+    assert generator.submitted_count == len(jobs) > 10
+    assert [job.name for job in jobs[:2]] == ["bg-1", "bg-2"]
+    assert all(2 <= job.processors <= 6 for job in jobs)
+    assert all(job.duration >= 1.0 for job in jobs)
     # The cluster actually saw load.
     assert cluster.usage_series.time_average(0, 3000) > 0
 
@@ -113,9 +128,10 @@ def test_background_generator_respects_time_window(env):
     spec = BackgroundLoadSpec(
         mean_interarrival=20.0, mean_duration=50.0, start_time=100.0, end_time=500.0
     )
-    generator = BackgroundLoadGenerator(env, lrm, spec, RandomStreams(6)["bg"])
+    jobs = recording(lrm)
+    BackgroundLoadGenerator(env, lrm, spec, RandomStreams(6)["bg"])
     env.run(until=2000)
-    assert all(100.0 <= job.submit_time <= 500.0 for job in generator.jobs)
+    assert jobs and all(100.0 <= job.submit_time <= 500.0 for job in jobs)
 
 
 def test_background_generator_is_reproducible(env):
@@ -124,9 +140,10 @@ def test_background_generator_is_reproducible(env):
         cluster = Cluster(env, "c", 64)
         lrm = LocalResourceManager(env, cluster)
         spec = BackgroundLoadSpec(mean_interarrival=25.0, mean_duration=80.0)
-        generator = BackgroundLoadGenerator(env, lrm, spec, RandomStreams(seed)["bg"])
+        jobs = recording(lrm)
+        BackgroundLoadGenerator(env, lrm, spec, RandomStreams(seed)["bg"])
         env.run(until=2000)
-        return [(job.submit_time, job.processors) for job in generator.jobs]
+        return [(job.submit_time, job.processors) for job in jobs]
 
     assert run_once(7) == run_once(7)
     assert run_once(7) != run_once(8)

@@ -217,6 +217,17 @@ def run_system(system):
     names = ["alpha", "beta"]
     for name, size, background in zip(names, system["sizes"], system["background"]):
         multicluster.add_cluster(name, size, background=background)
+    # Every local job each manager is given, in submission order: the
+    # managers and the background generators keep counts, not jobs.
+    submitted_locals = {name: [] for name in names}
+    for name in names:
+        lrm = multicluster.local_rm(name)
+
+        def record(job, submit=lrm.submit, jobs=submitted_locals[name]):
+            jobs.append(job)
+            return submit(job)
+
+        lrm.submit = record
     scheduler = KoalaScheduler(
         env,
         multicluster,
@@ -301,9 +312,9 @@ def run_system(system):
 
     env.run(until=HORIZON)
     metrics = ExperimentMetrics.from_run(scheduler, multicluster, label="tied")
+    own = {id(job) for job in locals_}
     background_jobs = [
-        job for name in names if multicluster.background(name) is not None
-        for job in multicluster.background(name).jobs
+        job for name in names for job in submitted_locals[name] if id(job) not in own
     ]
     outcome = (
         run_digest(metrics.to_dict()),

@@ -270,7 +270,7 @@ def test_killed_local_job_is_released_before_the_normal_events_of_its_instant():
     env.run()
 
     assert seen == [(4, 3.0)]
-    assert lrm.finished_jobs == [job]
+    assert lrm.finished_count == 1
 
 
 def test_job_started_by_the_first_dispatch_ends_behind_earlier_urgent_work():
@@ -315,7 +315,7 @@ def test_job_killed_before_its_first_dispatch_launch_is_released_at_once():
 
     assert job.start_time == 0
     assert seen == [(3, 0)]
-    assert lrm.finished_jobs == [job]
+    assert lrm.finished_count == 1
     assert env.now == 0
     assert cluster.idle_processors == 3
 
@@ -364,12 +364,21 @@ class ScriptedRng:
 
 
 def background(env, rng, **window):
+    """A generator on a fresh manager, and the list of jobs it submits (the
+    generator and the manager keep counts, not jobs)."""
     cluster = Cluster(env, "c", 4)
     lrm = LocalResourceManager(env, cluster)
     spec = BackgroundLoadSpec(
         mean_interarrival=GAP_MEAN, mean_duration=DURATION_MEAN, max_processors=4, **window
     )
-    return lrm, BackgroundLoadGenerator(env, lrm, spec, rng)
+    submitted = []
+
+    def record(job, submit=lrm.submit):
+        submitted.append(job)
+        return submit(job)
+
+    lrm.submit = record
+    return lrm, BackgroundLoadGenerator(env, lrm, spec, rng), submitted
 
 
 def test_first_gap_is_drawn_ahead_of_the_normal_events_of_the_construction_instant():
@@ -388,10 +397,11 @@ def test_arrival_draws_processors_and_duration_then_submits_then_draws_the_next_
     env = Environment()
     log = []
     rng = ScriptedRng(env, log, gaps=[3.0, 4.0, 5.0], durations=[2.5, 1.5], processors=[2, 3])
-    lrm, generator = background(env, rng, end_time=9.0)
+    lrm, generator, jobs = background(env, rng, end_time=9.0)
     submitted = []
 
     def submit(job):
+        jobs.append(job)
         submitted.append((env.now, len(log)))  # how many draws came first
 
     lrm.submit = submit
@@ -402,29 +412,30 @@ def test_arrival_draws_processors_and_duration_then_submits_then_draws_the_next_
         (7.0, "processors"), (7.0, "duration"), (7.0, "gap"),
     ]
     assert submitted == [(3.0, 3), (7.0, 6)]
-    assert [(job.processors, job.duration) for job in generator.jobs] == [(2, 2.5), (3, 1.5)]
+    assert [(job.processors, job.duration) for job in jobs] == [(2, 2.5), (3, 1.5)]
+    assert generator.submitted_count == 2
 
 
 def test_arrival_at_exactly_the_end_time_submits_nothing():
     env = Environment()
     log = []
-    lrm, generator = background(
+    lrm, generator, jobs = background(
         env, ScriptedRng(env, log, gaps=[2.0, 4.0], durations=[1.0], processors=[1]), end_time=6.0
     )
     env.run()
-    assert [job.submit_time for job in generator.jobs] == [2.0]
+    assert [job.submit_time for job in jobs] == [2.0]
     assert log[-1] == (2.0, "gap")
     assert env.now == 6.0
-    assert lrm.finished_jobs == generator.jobs
+    assert lrm.finished_count == generator.submitted_count == 1 and jobs[0].finished
 
 
 def test_start_time_delays_the_first_draw():
     env = Environment()
     log = []
-    _, generator = background(
+    _, _, jobs = background(
         env, ScriptedRng(env, log, gaps=[1.0, 10.0], durations=[1.0], processors=[1]),
         start_time=5.0, end_time=8.0,
     )
     env.run()
     assert log[0] == (5.0, "gap")
-    assert [job.submit_time for job in generator.jobs] == [6.0]
+    assert [job.submit_time for job in jobs] == [6.0]

@@ -113,7 +113,7 @@ def test_the_checkpointed_worker_frees_its_run(tmp_path, resume):
     directory = tmp_path / "ck"
     if resume:
         # What a worker that died mid-run leaves behind: one checkpoint.
-        out = run_checkpointed(config, checkpoint_every=600.0, path=directory / "state.json")
+        out = run_checkpointed(config, checkpoint_every=600.0, path=directory / "state.ckpt")
         assert out["checkpoint_paths"]
         for path in out["checkpoint_paths"][:-1]:
             os.unlink(path)
